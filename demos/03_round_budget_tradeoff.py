@@ -9,50 +9,48 @@ grid and two seeds — so it finishes in about a minute.
 Run:  python3 demos/03_round_budget_tradeoff.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from udpfl.accountant import PrivacyBudget
-from udpfl.federation import ClientState, FederationConfig, ServerState, run_training
+from udpfl.federation import run_training
 from udpfl.harness import (
     ExperimentConfig,
-    _TAG_INIT,
-    _derived_seed,
     build_model_spec,
+    build_simulation,
     load_experiment_data,
 )
-from udpfl.models import init_params
 
 U, SHARD = 50, 128
 T_GRID = (25, 50, 100, 150, 200, 300)
 SEEDS = (1, 2)
 
+CFG = ExperimentConfig(
+    model_kind="svm",
+    data_source="synthetic",
+    shard_size=SHARD,
+    synth_dim=300,
+    synth_margin=1.0,
+    synth_n_test=1000,
+    kappa=1e-2,
+    U=U,
+    K=U,
+    epsilon_p=6.0,
+    delta_p=1e-3,
+    eta=0.1,
+    clip_C=2.0,
+).resolved()
+
 
 def make_env(seed):
-    cfg = ExperimentConfig(
-        model_kind="svm",
-        data_source="synthetic",
-        shard_size=SHARD,
-        synth_dim=300,
-        synth_margin=1.0,
-        synth_n_test=1000,
-        kappa=1e-2,
-        U=U,
-        K=U,
-        epsilon_p=6.0,
-        delta_p=1e-3,
-        eta=0.1,
-        clip_C=2.0,
-    ).resolved()
-    shards, train_eval, test = load_experiment_data(cfg, seed)
-    return shards, train_eval, test, build_model_spec(cfg, train_eval)
+    shards, train_eval, test = load_experiment_data(CFG, seed)
+    return shards, train_eval, test, build_model_spec(CFG, train_eval)
 
 
 def final_loss(env, eps, T, seed):
     shards, train_eval, test, spec = env
-    clients = [ClientState(i, shards[i], PrivacyBudget(eps, 1e-3)) for i in range(U)]
-    fcfg = FederationConfig(spec=spec, K=U, eta=0.1, clip=2.0, seed=seed)
-    w0 = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
-    server = ServerState(global_params=w0, T=T)
+    cfg = dataclasses.replace(CFG, epsilon_p=eps, T_init=T)
+    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
     res = run_training(server, clients, fcfg, train_eval, test)
     return res.records[-1].test_loss
 

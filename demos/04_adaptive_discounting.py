@@ -16,24 +16,13 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from udpfl.accountant import PrivacyBudget
-from udpfl.federation import (
-    ClientState,
-    FederationConfig,
-    ServerState,
-    evaluate,
-    run_training,
-)
+from udpfl.federation import evaluate, run_training
 from udpfl.harness import (
     ExperimentConfig,
-    _TAG_INIT,
-    _derived_seed,
     build_model_spec,
+    build_simulation,
     load_experiment_data,
 )
-from udpfl.models import init_params
 from udpfl.scheduler import CrdConfig, CrdScheduler
 
 parser = argparse.ArgumentParser()
@@ -66,13 +55,10 @@ spec = build_model_spec(cfg, train_eval)
 
 
 def run(discounted):
-    clients = [ClientState(i, shards[i], PrivacyBudget(args.epsilon, 1e-3)) for i in range(U)]
-    fcfg = FederationConfig(spec=spec, K=K, eta=ETA, clip=CLIP, seed=SEED)
-    w0 = init_params(spec, np.random.default_rng(_derived_seed(SEED, _TAG_INIT)))
-    server = ServerState(global_params=w0, T=T_INIT)
+    server, clients, fcfg = build_simulation(cfg, SEED, shards, spec)
     on_round = None
     if discounted:
-        v0, _ = evaluate(spec, w0, test)
+        v0, _ = evaluate(spec, server.global_params, test)
         on_round = CrdScheduler(CrdConfig(beta=0.9, zeta=1e-3, T_init=T_INIT), v0)
     t0 = time.time()
     res = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)

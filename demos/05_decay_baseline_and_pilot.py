@@ -10,19 +10,16 @@ privacy budget, always strictly before the nominal horizon.
 Run:  python3 demos/05_decay_baseline_and_pilot.py
 """
 
-import numpy as np
+import dataclasses
 
 from udpfl.accountant import PrivacyBudget, inverse_variance_budget, sensitivity
-from udpfl.federation import ClientState, FederationConfig, ServerState
 from udpfl.harness import (
     ExperimentConfig,
-    _TAG_INIT,
-    _derived_seed,
     build_model_spec,
+    build_simulation,
     load_experiment_data,
     pilot_clip,
 )
-from udpfl.models import init_params
 from udpfl.scheduler import linear_decay_baseline
 
 cfg = ExperimentConfig(
@@ -48,10 +45,7 @@ print(f"pilot clip recommendation: C = {C:.4f}   (norms logged to {log_path})")
 
 shards, train_eval, test = load_experiment_data(cfg, 1)
 spec = build_model_spec(cfg, train_eval)
-clients = [ClientState(i, shards[i], PrivacyBudget(6.0, 1e-3)) for i in range(10)]
-fcfg = FederationConfig(spec=spec, K=10, eta=0.05, clip=C, seed=1)
-w0 = init_params(spec, np.random.default_rng(_derived_seed(1, _TAG_INIT)))
-server = ServerState(global_params=w0, T=80)
+server, clients, fcfg = build_simulation(dataclasses.replace(cfg, clip_C=C), 1, shards, spec)
 
 result = linear_decay_baseline(server, clients, fcfg, train_eval, test)
 print(

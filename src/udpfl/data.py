@@ -329,10 +329,3 @@ def partition(dataset: Dataset, plan: PartitionPlan, U: int, seed: int) -> list[
         shards.append(np.array(take, dtype=np.intp))
     return shards
 
-
-def seeded_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """First n samples of a seeded shuffle (used for desk-scale MNIST runs)."""
-    if n > len(dataset):
-        raise ValueError(f"subset of {n} requested from dataset of {len(dataset)}")
-    order = np.random.default_rng(seed).permutation(len(dataset))[:n]
-    return dataset.subset(order)

@@ -99,7 +99,6 @@ class TrainingResult:
     records: list
     realized_T: int
     stop_reason: str  # "completed" | "budget_exhausted"
-    initial_test_loss: float
 
 
 def sample_clients(U: int, K: int, rng: np.random.Generator) -> tuple:
@@ -242,7 +241,6 @@ def run_training(
     ``server.T`` (never below ``server.t``) and may set
     ``record.trigger_fired``.
     """
-    v0, _ = evaluate(cfg.spec, server.global_params, test_eval)
     reason = "completed"
     while server.t < server.T:
         try:
@@ -262,5 +260,4 @@ def run_training(
         records=server.records,
         realized_T=server.t,
         stop_reason=reason,
-        initial_test_loss=v0,
     )

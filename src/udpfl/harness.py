@@ -59,7 +59,7 @@ from .federation import (
     run_round,
     run_training,
 )
-from .models import ModelSpec, init_params, param_count, per_sample_grad_norms
+from .models import ModelSpec, init_params, per_sample_grad_norms
 from .scheduler import CrdConfig, CrdScheduler, linear_decay_baseline
 
 ROUNDS_COLUMNS = (
@@ -201,6 +201,9 @@ class ExperimentConfig:
             v.append(f"clip_C must be > 0, got {cfg.clip_C}")
         if cfg.scheduler not in ("fixed", "crd", "decay"):
             v.append(f"scheduler must be fixed|crd|decay, got {cfg.scheduler!r}")
+        if cfg.scheduler == "decay" and math.isinf(cfg.epsilon_p):
+            # the decay schedule starts at the calibrated sigma, which is 0 here
+            v.append("scheduler decay needs a finite epsilon_p")
         if not 0 < cfg.beta < 1:
             v.append(f"beta must be in (0, 1), got {cfg.beta}")
         if cfg.zeta <= 0:
@@ -340,34 +343,50 @@ def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, train:
         )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    # repr(np.float64) is "np.float64(...)" on numpy >= 2, so convert first
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _csv(columns, rows) -> str:
+    """CSV text: a header line, then one line per row of cells."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _sigma_cell(sigma_by_client: dict) -> str:
     distinct = sorted(set(sigma_by_client.values()))
-    return ";".join(_format_float(s) for s in distinct)
+    return ";".join(repr(float(s)) for s in distinct)
 
 
 def rounds_csv_text(seed: int, records) -> str:
-    lines = [",".join(ROUNDS_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(seed),
-                    str(r.round),
-                    str(r.T_at_start),
-                    _sigma_cell(r.sigma_by_client),
-                    _format_float(r.train_loss),
-                    _format_float(r.test_loss),
-                    _format_float(r.test_accuracy),
-                    ";".join(str(i) for i in r.selected),
-                    str(int(r.trigger_fired)),
-                )
-            )
+    rows = (
+        (
+            seed, r.round, r.T_at_start, _sigma_cell(r.sigma_by_client),
+            r.train_loss, r.test_loss, r.test_accuracy,
+            ";".join(str(i) for i in r.selected), int(r.trigger_fired),
         )
-    return "\n".join(lines) + "\n"
+        for r in records
+    )
+    return _csv(ROUNDS_COLUMNS, rows)
+
+
+def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
+    """Wire one run of a resolved config over already-loaded client shards.
+
+    Returns ``(server, clients, federation config)``: every client holds the
+    budget ``(epsilon_p, delta_p)`` and the server starts at round budget
+    ``T_init`` from parameters drawn from the seed's initialization stream.
+    """
+    budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
+    clients = [ClientState(i, shard, budget) for i, shard in enumerate(shards)]
+    fcfg = FederationConfig(
+        spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
+        weight_mode=cfg.weight_mode,
+    )
+    params0 = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
+    return ServerState(global_params=params0, T=cfg.T_init), clients, fcfg
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
@@ -377,14 +396,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     spec = build_model_spec(cfg, train_eval)
     _check_eta_against_smoothness(cfg, spec, train_eval)
-    budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
-    clients = [ClientState(i, shards[i], budget) for i in range(cfg.U)]
-    fcfg = FederationConfig(
-        spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
-        weight_mode=cfg.weight_mode,
-    )
-    params0 = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
-    server = ServerState(global_params=params0, T=cfg.T_init)
+    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
 
     if cfg.scheduler == "decay":
         result = linear_decay_baseline(
@@ -395,7 +407,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     else:
         on_round = None
         if cfg.scheduler == "crd":
-            v0, _ = evaluate(spec, params0, test_eval)
+            v0, _ = evaluate(spec, server.global_params, test_eval)
             on_round = CrdScheduler(
                 CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0
             )
@@ -471,6 +483,10 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> RunManifest:
 
 
 SWEEP_AXES = ("T", "epsilon", "beta", "T_init")
+SWEEP_COLUMNS = (
+    "axis", "value", "seed", "final_test_loss", "final_test_accuracy", "rounds",
+    "mean_final_test_loss", "mean_final_test_accuracy", "mean_rounds",
+)
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -519,43 +535,15 @@ def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
         mean_loss = sum(s["final_test_loss"] for s in per_seed) / len(per_seed)
         mean_acc = sum(s["final_test_accuracy"] for s in per_seed) / len(per_seed)
         mean_rounds = sum(s["realized_T"] for s in per_seed) / len(per_seed)
-        for s in per_seed:
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "seed": s["seed"],
-                    "final_test_loss": s["final_test_loss"],
-                    "final_test_accuracy": s["final_test_accuracy"],
-                    "rounds": s["realized_T"],
-                    "mean_final_test_loss": mean_loss,
-                    "mean_final_test_accuracy": mean_acc,
-                    "mean_rounds": mean_rounds,
-                }
+        rows.extend(
+            (
+                axis, value, s["seed"], s["final_test_loss"], s["final_test_accuracy"],
+                s["realized_T"], mean_loss, mean_acc, mean_rounds,
             )
-    header = (
-        "axis,value,seed,final_test_loss,final_test_accuracy,rounds,"
-        "mean_final_test_loss,mean_final_test_accuracy,mean_rounds"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["axis"],
-                    str(r["value"]),
-                    str(r["seed"]),
-                    _format_float(r["final_test_loss"]),
-                    _format_float(r["final_test_accuracy"]),
-                    str(r["rounds"]),
-                    _format_float(r["mean_final_test_loss"]),
-                    _format_float(r["mean_final_test_accuracy"]),
-                    _format_float(r["mean_rounds"]),
-                ]
-            )
+            for s in per_seed
         )
     path = outdir / "sweep.csv"
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _csv(SWEEP_COLUMNS, rows))
     if errors:
         _atomic_write_text(
             outdir / "sweep_errors.json", json.dumps(errors, indent=2, sort_keys=True)
@@ -576,6 +564,10 @@ VERIFY_SIGMA = 0.01
 VERIFY_ETA = 0.05
 VERIFY_CLIP = 1.0
 REGIME_CUTOFF = 0.1
+VERIFY_COLUMNS = (
+    "panel", "q", "sigma", "lambda", "log_D10", "log_D01", "log_bound",
+    "regime_ratio", "bound_checked", "ordering_violation", "bound_violation",
+)
 
 
 def verify_accountant(out_path=None, lambdas=range(1, 101)) -> list:
@@ -614,31 +606,17 @@ def verify_accountant(out_path=None, lambdas=range(1, 101)) -> list:
             )
             rows.append(row)
     if out_path is not None:
-        cols = (
-            "panel,q,sigma,lambda,log_D10,log_D01,log_bound,"
-            "regime_ratio,bound_checked,ordering_violation,bound_violation"
+        # rows whose quadrature failed have no moments: NaN moments, empty flags
+        cells = (
+            [r.get(c, math.nan if c.startswith("log_") else "") for c in VERIFY_COLUMNS]
+            for r in rows
         )
-        lines = [cols]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["panel"],
-                        _format_float(r["q"]),
-                        _format_float(r["sigma"]),
-                        str(r["lambda"]),
-                        _format_float(r.get("log_D10", math.nan)),
-                        _format_float(r.get("log_D01", math.nan)),
-                        _format_float(r.get("log_bound", math.nan)),
-                        _format_float(r["regime_ratio"]),
-                        str(r["bound_checked"]),
-                        str(r.get("ordering_violation", "")),
-                        str(r.get("bound_violation", "")),
-                    ]
-                )
-            )
-        _atomic_write_text(Path(out_path), "\n".join(lines) + "\n")
+        _atomic_write_text(Path(out_path), _csv(VERIFY_COLUMNS, cells))
     return rows
+
+
+CALIBRATION_COLUMNS = ("epsilon", "delta", "q", "T", "sensitivity", "sigma")
+MOMENT_COLUMNS = ("q", "sigma", "lambda", "log_D10", "log_D01", "log_bound")
 
 
 def calibration_table(epsilons, deltas, qs, Ts, sensitivities) -> list:
@@ -651,11 +629,11 @@ def calibration_table(epsilons, deltas, qs, Ts, sensitivities) -> list:
                     for dl in sensitivities:
                         rows.append(
                             {
-                                "epsilon": eps,
-                                "delta": delta,
-                                "q": q,
+                                "epsilon": float(eps),
+                                "delta": float(delta),
+                                "q": float(q),
                                 "T": T,
-                                "sensitivity": dl,
+                                "sensitivity": float(dl),
                                 "sigma": calibrate_sigma(
                                     PrivacyBudget(eps, delta), q, T, dl
                                 ),
@@ -665,21 +643,7 @@ def calibration_table(epsilons, deltas, qs, Ts, sensitivities) -> list:
 
 
 def calibration_csv(rows) -> str:
-    lines = ["epsilon,delta,q,T,sensitivity,sigma"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _format_float(r["epsilon"]),
-                    _format_float(r["delta"]),
-                    _format_float(r["q"]),
-                    str(r["T"]),
-                    _format_float(r["sensitivity"]),
-                    _format_float(r["sigma"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(CALIBRATION_COLUMNS, ([r[c] for c in CALIBRATION_COLUMNS] for r in rows))
 
 
 def moment_table(q, sigma, dl, lambdas) -> list:
@@ -688,8 +652,8 @@ def moment_table(q, sigma, dl, lambdas) -> list:
         m = MechanismParams(q=q, sigma=sigma, sensitivity=dl, lam=lam)
         rows.append(
             {
-                "q": q,
-                "sigma": sigma,
+                "q": float(q),
+                "sigma": float(sigma),
                 "lambda": lam,
                 "log_D10": log_moment_numeric(m, D_MIX_BASE),
                 "log_D01": log_moment_numeric(m, D_BASE_MIX),
@@ -700,21 +664,7 @@ def moment_table(q, sigma, dl, lambdas) -> list:
 
 
 def moment_csv(rows) -> str:
-    lines = ["q,sigma,lambda,log_D10,log_D01,log_bound"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _format_float(r["q"]),
-                    _format_float(r["sigma"]),
-                    str(r["lambda"]),
-                    _format_float(r["log_D10"]),
-                    _format_float(r["log_D01"]),
-                    _format_float(r["log_bound"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(MOMENT_COLUMNS, ([r[c] for c in MOMENT_COLUMNS] for r in rows))
 
 
 def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, outdir=None):
@@ -729,27 +679,18 @@ def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, 
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     spec = build_model_spec(cfg, train_eval)
-    clients = [
-        ClientState(i, shards[i], PrivacyBudget(math.inf, cfg.delta_p))
-        for i in range(cfg.U)
-    ]
-    fcfg = FederationConfig(
-        spec=spec, K=cfg.U, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
-        weight_mode=cfg.weight_mode,
-    )
-    params = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
-    server = ServerState(global_params=params, T=rounds)
-    lines = ["round,client,norm"]
-    norms_all = []
+    pilot = dataclasses.replace(cfg, epsilon_p=math.inf, K=cfg.U, T_init=rounds)
+    server, clients, fcfg = build_simulation(pilot, seed, shards, spec)
+    rows, norms_all = [], []
     for r in range(rounds):
         for c in clients:
             norms = per_sample_grad_norms(
                 spec, server.global_params, c.shard.features, c.shard.labels
             )
             norms_all.append(norms)
-            lines.extend(f"{r},{c.id},{_format_float(n)}" for n in norms)
+            rows.extend((r, c.id, n) for n in norms)
         run_round(server, clients, fcfg, train_eval, test_eval)
     path = outdir / "pilot_norms.csv"
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _csv(("round", "client", "norm"), rows))
     c_value = float(np.median(np.concatenate(norms_all)))
     return c_value, path

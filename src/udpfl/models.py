@@ -241,15 +241,6 @@ def per_sample_grad_norms(
     return np.sqrt(np.maximum(norms2, 0.0))
 
 
-def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
-    """Scale g to norm at most ``clip``: g / max(1, ||g||/clip)."""
-    if clip <= 0.0:
-        raise ValueError(f"clip threshold must be > 0, got {clip}")
-    g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    return g / max(1.0, norm / clip)
-
-
 def _clip_factors(norms2: np.ndarray, clip: float) -> np.ndarray:
     # 1/max(1, norm/clip) per sample, with zero-gradient samples untouched.
     norms = np.sqrt(np.maximum(norms2, 0.0))

@@ -1,12 +1,11 @@
 """Round-budget policies.
 
-* fixed-T: just run the federation loop to its round budget;
+* fixed-T: just run the federation loop to its round budget
+  (``udpfl sweep --axis T`` compares a grid of such budgets);
 * adaptive discounting: whenever the test-loss improvement of a round
   falls below a threshold zeta, shrink the remaining budget by a factor
   beta — ``T <- floor(beta*(T - t)) + t`` — and let the noise
   recalibration absorb the change;
-* exhaustive search: run a fixed-T grid and pick the argmin of the
-  seed-averaged final loss;
 * linear noise decay: a fixed starting noise scale shrinking linearly
   each round, halted by a cumulative moment accountant instead of a
   preset round count.
@@ -85,35 +84,6 @@ class CrdScheduler:
             record.trigger_fired = decision.triggered
             self.decisions.append(decision)
         self.prev_v = v
-
-
-def search_optimal_T(run_one, T_grid, seeds):
-    """Exhaustive fixed-T search.
-
-    ``run_one(T, seed)`` returns the final test loss of a fixed-T run.
-    Returns ``(T_star, mean_loss_by_T, failures)`` where failures maps
-    (T, seed) to the raised exception; a grid point with at least one
-    surviving seed stays in the argmin, and per-point failures never abort
-    the sweep.
-    """
-    T_grid = list(T_grid)
-    if not T_grid:
-        raise ValueError("empty T grid")
-    mean_loss_by_T: dict[int, float] = {}
-    failures: dict[tuple, Exception] = {}
-    for T in T_grid:
-        losses = []
-        for seed in seeds:
-            try:
-                losses.append(run_one(T, seed))
-            except Exception as exc:  # noqa: BLE001 - sweep must survive
-                failures[(T, seed)] = exc
-        if losses:
-            mean_loss_by_T[T] = sum(losses) / len(losses)
-    if not mean_loss_by_T:
-        raise RuntimeError(f"every grid point failed: {failures}")
-    T_star = min(mean_loss_by_T, key=lambda T: (mean_loss_by_T[T], T))
-    return T_star, mean_loss_by_T, failures
 
 
 @dataclass

@@ -20,6 +20,7 @@ Ordered by gate number:
   11 byte-identical reruns, independent of worker count
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -36,20 +37,11 @@ from udpfl.accountant import (
     recalibrate_sigma,
     sensitivity,
 )
-from udpfl.federation import (
-    ClientState,
-    FederationConfig,
-    ServerState,
-    add_noise,
-    evaluate,
-    run_training,
-    sample_clients,
-)
+from udpfl.federation import add_noise, evaluate, run_training, sample_clients
 from udpfl.harness import (
-    _TAG_INIT,
-    _derived_seed,
     ExperimentConfig,
     build_model_spec,
+    build_simulation,
     load_experiment_data,
     run_experiment,
     verify_accountant,
@@ -57,7 +49,6 @@ from udpfl.harness import (
 from udpfl.models import (
     ModelSpec,
     Sample,
-    init_params,
     local_update,
     param_count,
     per_sample_gradient,
@@ -88,16 +79,13 @@ def _ledger_margin(clients, q, eta, clip, n_samples):
     return worst
 
 
-def _train_once(env, K, eps, T, seed, eta, clip, crd=False):
-    shards, train_eval, test, spec = env
-    U = len(shards)
-    clients = [ClientState(i, shards[i], PrivacyBudget(eps, DELTA)) for i in range(U)]
-    fcfg = FederationConfig(spec=spec, K=K, eta=eta, clip=clip, seed=seed)
-    w0 = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
-    server = ServerState(global_params=w0, T=T)
+def _train_once(env, K, eps, T, seed, crd=False):
+    cfg, shards, train_eval, test, spec = env
+    cfg = dataclasses.replace(cfg, K=K, epsilon_p=eps, T_init=T)
+    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
     on_round = None
     if crd:
-        v0, _ = evaluate(spec, w0, test)
+        v0, _ = evaluate(spec, server.global_params, test)
         on_round = CrdScheduler(CrdConfig(beta=0.9, zeta=0.001, T_init=T), v0)
     result = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)
     return result, clients
@@ -229,13 +217,17 @@ def test_05_noiseless_federation_equals_centralized_gd():
     idx = partition(train, PartitionPlan("iid", shard_size=10), 5, np.random.SeedSequence(5))
     shards = [train.subset(i) for i in idx]
     spec = ModelSpec("svm", input_dim=10, kappa=1e-2)
-    env = (shards, train, test, spec)
-    result, clients = _train_once(env, K=5, eps=math.inf, T=20, seed=3, eta=0.05, clip=0.5)
+    cfg = ExperimentConfig(
+        model_kind="svm", kappa=1e-2, U=5, K=5, T_init=20, epsilon_p=math.inf,
+        delta_p=DELTA, eta=0.05, clip_C=0.5,
+    )
+    server, clients, fcfg = build_simulation(cfg, 3, shards, spec)
+    w = server.global_params.copy()
+    result = run_training(server, clients, fcfg, train, test)
 
-    # independent centralized oracle on the pooled samples
+    # independent centralized oracle on the pooled samples, from the same start
     order = np.concatenate(idx)
     Xp, yp = train.features[order], train.labels[order]
-    w = init_params(spec, np.random.default_rng(_derived_seed(3, _TAG_INIT)))
     for _ in range(20):
         w = local_update(spec, w, Xp, yp, 0.05, 0.5)
     assert np.max(np.abs(result.params - w)) <= 1e-10
@@ -266,7 +258,7 @@ def _svm_env(seed):
         clip_C=SVM_U["clip"],
     ).resolved()
     shards, train_eval, test = load_experiment_data(cfg, seed)
-    return shards, train_eval, test, build_model_spec(cfg, train_eval)
+    return cfg, shards, train_eval, test, build_model_spec(cfg, train_eval)
 
 
 @pytest.fixture(scope="session")
@@ -280,10 +272,7 @@ def u_shape_runs():
         for T in T_grid:
             finals = []
             for seed in SEEDS:
-                res, clients = _train_once(
-                    envs[seed], K=SVM_U["U"], eps=eps, T=T, seed=seed,
-                    eta=SVM_U["eta"], clip=SVM_U["clip"],
-                )
+                res, clients = _train_once(envs[seed], K=SVM_U["U"], eps=eps, T=T, seed=seed)
                 finals.append(res.records[-1].test_loss)
                 LEDGER_AUDIT.append((
                     f"svm_T{T}_e{eps}_s{seed}", "fixed",
@@ -327,7 +316,7 @@ def _mnist_env(seed):
         clip_C=MLP_FAST["clip"],
     ).resolved()
     shards, train_eval, test = load_experiment_data(cfg, seed)
-    return shards, train_eval, test, build_model_spec(cfg, train_eval)
+    return cfg, shards, train_eval, test, build_model_spec(cfg, train_eval)
 
 
 @pytest.fixture(scope="session")
@@ -347,10 +336,7 @@ def discounting_runs():
                 jobs = [("crd", MLP_FAST["T_init"], True)]
                 jobs += [(f"f{T}", T, False) for T in fixed_grid]
                 for label, T, crd in jobs:
-                    res, clients = _train_once(
-                        env, K=K, eps=eps, T=T, seed=seed,
-                        eta=MLP_FAST["eta"], clip=MLP_FAST["clip"], crd=crd,
-                    )
+                    res, clients = _train_once(env, K=K, eps=eps, T=T, seed=seed, crd=crd)
                     Ts = [r.T_at_start for r in res.records]
                     runs[(seed, K, eps, label)] = {
                         "final": res.records[-1].test_loss,
@@ -430,12 +416,8 @@ def test_10_every_run_stays_within_noise_budget(u_shape_runs, discounting_runs):
     """Spent inverse noise variance <= budget + 1e-9 for every client of every
     completed run, across all three schedulers."""
     # add a linear-decay run so all schedulers are represented
-    env = _svm_env(1)
-    shards, train_eval, test, spec = env
-    clients = [ClientState(i, shards[i], PrivacyBudget(6.0, DELTA)) for i in range(50)]
-    fcfg = FederationConfig(spec=spec, K=50, eta=SVM_U["eta"], clip=SVM_U["clip"], seed=1)
-    w0 = init_params(spec, np.random.default_rng(_derived_seed(1, _TAG_INIT)))
-    server = ServerState(global_params=w0, T=60)
+    cfg, shards, train_eval, test, spec = _svm_env(1)
+    server, clients, fcfg = build_simulation(dataclasses.replace(cfg, T_init=60), 1, shards, spec)
     decay = linear_decay_baseline(server, clients, fcfg, train_eval, test)
     assert decay.rounds_run > 0
     LEDGER_AUDIT.append((

@@ -14,7 +14,6 @@ from udpfl.data import (
     load_idx,
     load_mnist,
     partition,
-    seeded_subset,
     synth_linear,
 )
 from udpfl.models import ModelSpec, accuracy, local_update
@@ -188,16 +187,6 @@ def test_partition_is_pure_function_of_seed():
     c = partition(ds, plan, U=20, seed=6)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-
-def test_seeded_subset():
-    ds = make_multiclass(10, 10)
-    sub = seeded_subset(ds, 30, seed=4)
-    assert len(sub) == 30
-    sub2 = seeded_subset(ds, 30, seed=4)
-    assert np.array_equal(sub.features, sub2.features)
-    with pytest.raises(ValueError, match="subset"):
-        seeded_subset(ds, 1000, seed=4)
 
 
 def test_plan_validation():

@@ -9,21 +9,28 @@ import pytest
 
 from udpfl import cli
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
+from udpfl.federation import evaluate, run_training
 from udpfl.harness import (
     ROUNDS_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _csv,
+    build_model_spec,
+    build_simulation,
     calibration_csv,
     calibration_table,
     config_hash,
+    load_experiment_data,
     moment_csv,
     moment_table,
     pilot_clip,
+    rounds_csv_text,
     run_experiment,
     run_single_seed,
     sweep,
     verify_accountant,
 )
+from udpfl.scheduler import CrdConfig, CrdScheduler
 
 SVM_BASE = dict(
     model_kind="svm",
@@ -88,6 +95,13 @@ def test_eta_defaults_per_model_kind():
 def test_round_zero_calibration_guard():
     cfg = ExperimentConfig.from_dict(dict(SVM_BASE, epsilon_p=5e-324))
     assert any("round-0" in v for v in cfg.validate())
+
+
+def test_decay_scheduler_needs_finite_epsilon(tmp_path):
+    # every seed of such a run would fail: the decay schedule starts at sigma 0
+    cfg = svm_cfg(tmp_path, scheduler="decay", epsilon_p="inf")
+    assert "scheduler decay needs a finite epsilon_p" in cfg.validate()
+    assert svm_cfg(tmp_path, scheduler="fixed", epsilon_p="inf").validate() == []
 
 
 def test_config_hash_tracks_resolved_fields():
@@ -190,6 +204,27 @@ def test_crd_run_emits_nonincreasing_T(tmp_path):
     assert any(r["trigger_fired"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("scheduler", ["fixed", "crd"])
+def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
+    cfg = svm_cfg(tmp_path, scheduler=scheduler, zeta=0.05, T_init=20, seeds=(1,))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+
+    cfg = cfg.check()
+    shards, train_eval, test = load_experiment_data(cfg, 1)
+    spec = build_model_spec(cfg, train_eval)
+    server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
+    on_round = None
+    if scheduler == "crd":
+        v0, _ = evaluate(spec, server.global_params, test)
+        on_round = CrdScheduler(CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0)
+    result = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)
+    assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
+    cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
+    assert rounds_csv_text(1, result.records) == cli_rounds
+
+
 def test_decay_run_records_halt(tmp_path):
     cfg = svm_cfg(tmp_path, scheduler="decay", slope_fraction=0.0, T_init=30)
     run_experiment(cfg)
@@ -248,6 +283,13 @@ def test_sweep_rejects_unknown_axis(tmp_path):
 # --- report tables ---
 
 
+def test_csv_cell_formatting():
+    row = (8, 8.0, np.float64(0.1), np.float64(2), math.nan, "1;2")
+    assert _csv(("i", "f", "np", "np_int", "nan", "s"), [row]) == (
+        "i,f,np,np_int,nan,s\n8,8.0,0.1,2.0,nan,1;2\n"
+    )
+
+
 def test_verify_accountant_grid_is_clean():
     rows = verify_accountant(lambdas=range(1, 11))
     assert len(rows) == 40  # 4 panels x 10 orders
@@ -282,6 +324,9 @@ def test_calibration_table_matches_direct_closed_form():
         assert r["sigma"] == direct
     text = calibration_csv(rows)
     assert text.startswith("epsilon,delta,q,T,sensitivity,sigma\n")
+    # integer inputs, as the command line parses "8" and "1", print as floats
+    int_rows = calibration_table([8], [0.001], [1], [100], [1])
+    assert calibration_csv(int_rows).split("\n")[1].startswith("8.0,0.001,1.0,100,1.0,")
 
 
 def test_moment_table_columns():

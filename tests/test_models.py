@@ -14,7 +14,6 @@ from udpfl.models import (
     ModelSpec,
     Sample,
     accuracy,
-    clip_gradient,
     clipped_gradient_sum,
     init_params,
     local_update,
@@ -190,26 +189,28 @@ def test_local_update_zero_eta_is_identity():
 
 
 @given(
-    vec=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40),
+    spec_index=st.integers(0, len(SPECS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 100.0),
     clip=st.floats(1e-6, 1e4),
 )
 @settings(max_examples=200, deadline=None)
-def test_clip_gradient_properties(vec, clip):
-    g = np.array(vec)
-    out = clip_gradient(g, clip)
+def test_clipped_gradient_sum_clips_a_single_sample(spec_index, seed, scale, clip):
+    """A one-sample batch's clipped sum is its gradient scaled to norm <= clip:
+    unchanged inside the ball, parallel to it outside."""
+    spec = SPECS[spec_index]
+    rng = np.random.default_rng(seed)
+    params = scale * rng.normal(size=param_count(spec))
+    X, y = make_batch(spec, 1, seed)
+    X = scale * X
+    g = per_sample_gradient(spec, params, Sample(X[0], y[0]))
+    out = clipped_gradient_sum(spec, params, X, y, clip)
     norm = np.linalg.norm(g)
-    assert np.linalg.norm(out) <= clip * (1 + 1e-9) or norm <= clip
-    if norm <= clip:
+    assert np.linalg.norm(out) <= clip * (1 + 1e-9)
+    if norm <= clip * (1 - 1e-9):
         assert np.array_equal(out, g)
-    elif norm > 0:
-        # direction preserved
+    elif norm > clip:
         assert rel_err(out / np.linalg.norm(out), g / norm) < 1e-9
-
-
-def test_clip_gradient_exact_formula():
-    g = np.array([3.0, 4.0])  # norm 5
-    out = clip_gradient(g, 1.0)
-    assert rel_err(out, np.array([0.6, 0.8])) < 1e-15
 
 
 def test_mlp_init_is_bounded_and_seeded():

@@ -17,7 +17,6 @@ from udpfl.scheduler import (
     SchedulerDecision,
     crd_step,
     linear_decay_baseline,
-    search_optimal_T,
 )
 
 
@@ -91,44 +90,6 @@ def test_crd_scheduler_on_live_run_yields_staircase():
     dl = sensitivity(cfg.eta, cfg.clip, 10)
     for c in clients:
         assert ledger_within_budget(c.sigma_history, c.budget, 3 / 5, dl)
-
-
-def test_search_optimal_T_argmin_and_failures():
-    table = {10: 0.5, 20: 0.3, 40: 0.4}
-
-    def run_one(T, seed):
-        if T == 40 and seed == 2:
-            raise RuntimeError("boom")
-        return table[T] + 0.01 * seed
-
-    T_star, means, failures = search_optimal_T(run_one, [10, 20, 40], seeds=[1, 2, 3])
-    assert T_star == 20
-    assert means[20] == pytest.approx(0.3 + 0.02)
-    assert set(failures) == {(40, 2)}
-    assert means[40] == pytest.approx(0.4 + 0.02)  # mean over surviving seeds
-
-
-def test_search_optimal_T_all_points_failing_raises():
-    def run_one(T, seed):
-        raise RuntimeError("nope")
-
-    with pytest.raises(RuntimeError, match="every grid point"):
-        search_optimal_T(run_one, [1, 2], seeds=[0])
-    with pytest.raises(ValueError, match="empty"):
-        search_optimal_T(run_one, [], seeds=[0])
-
-
-def test_search_optimal_T_noiseless_prefers_largest_T():
-    def run_one(T, seed):
-        spec, clients, cfg, server, train_eval, test = make_federation(
-            n_clients=4, per_client=12, T=T, seed=seed
-        )
-        return run_training(server, clients, cfg, train_eval, test).records[-1].test_loss
-
-    T_star, means, failures = search_optimal_T(run_one, [3, 6, 12], seeds=[1, 2])
-    assert not failures
-    assert means[3] >= means[6] >= means[12]
-    assert T_star == 12
 
 
 def test_config_validation():
