@@ -5,7 +5,8 @@ privacy ledger for the round at the current round budget T (noise scale
 from ``recalibrate_sigma``, which reduces to the closed-form calibration
 while T is unchanged); selected clients run one full-batch clipped local
 step and add Gaussian noise; the server aggregates the uploads by weight
-and evaluates the new model.
+and evaluates the new model: the loss alone on the training pool, and the
+loss and accuracy on the test set from one forward pass.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -25,10 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accountant import BudgetExhausted, PrivacyBudget, recalibrate_sigma, sensitivity
-from .models import ModelSpec, accuracy, local_update, loss
+# accuracy has no caller here; perfbench/layers.py wraps federation.accuracy by name
+from .models import ModelSpec, accuracy, local_update, loss, loss_and_accuracy
 
 _TAG_SELECT = 1
 _TAG_NOISE = 2
+WEIGHT_MODES = ("by_size", "equal")
 
 
 @dataclass
@@ -80,7 +83,7 @@ class FederationConfig:
     eta: float
     clip: float
     seed: int
-    weight_mode: str = "by_size"  # or "equal"
+    weight_mode: str = "by_size"  # one of WEIGHT_MODES
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -89,7 +92,7 @@ class FederationConfig:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.clip <= 0:
             raise ValueError(f"clip must be > 0, got {self.clip}")
-        if self.weight_mode not in ("by_size", "equal"):
+        if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
 
@@ -133,10 +136,8 @@ def aggregate(uploads: list) -> np.ndarray:
 
 
 def evaluate(spec: ModelSpec, params: np.ndarray, dataset) -> tuple:
-    return (
-        loss(spec, params, dataset.features, dataset.labels),
-        accuracy(spec, params, dataset.features, dataset.labels),
-    )
+    """``(loss, accuracy)`` of ``params`` on ``dataset`` from one forward pass."""
+    return loss_and_accuracy(spec, params, dataset.features, dataset.labels)
 
 
 def _selection_rng(seed: int, rnd: int) -> np.random.Generator:
@@ -204,7 +205,7 @@ def run_round(
         uploads.append((weights[i], noised))
 
     new_params = aggregate(uploads)
-    train_loss, _ = evaluate(cfg.spec, new_params, train_eval)
+    train_loss = loss(cfg.spec, new_params, train_eval.features, train_eval.labels)
     test_loss, test_acc = evaluate(cfg.spec, new_params, test_eval)
     if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
         raise RuntimeError(f"non-finite evaluation loss at round {rnd}")

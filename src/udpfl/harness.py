@@ -52,6 +52,7 @@ from .data import (
     synth_linear,
 )
 from .federation import (
+    WEIGHT_MODES,
     ClientState,
     FederationConfig,
     ServerState,
@@ -59,7 +60,7 @@ from .federation import (
     run_round,
     run_training,
 )
-from .models import ModelSpec, init_params, per_sample_grad_norms
+from .models import HINGE_FORMS, ModelSpec, init_params, per_sample_grad_norms
 from .scheduler import CrdConfig, CrdScheduler, linear_decay_baseline
 
 ROUNDS_COLUMNS = (
@@ -173,6 +174,8 @@ class ExperimentConfig:
             v.append(f"hidden_dim must be >= 1, got {cfg.hidden_dim}")
         if cfg.model_kind == "svm" and cfg.kappa <= 0:
             v.append(f"kappa must be > 0, got {cfg.kappa}")
+        if cfg.hinge not in HINGE_FORMS:
+            v.append(f"hinge must be one of {HINGE_FORMS}, got {cfg.hinge!r}")
         if cfg.data_source not in ("mnist", "synthetic", "csv"):
             v.append(f"data_source must be mnist|synthetic|csv, got {cfg.data_source!r}")
         if cfg.data_source == "csv" and not cfg.csv_train:
@@ -199,6 +202,8 @@ class ExperimentConfig:
             v.append(f"eta must be > 0, got {cfg.eta}")
         if not cfg.clip_C > 0:
             v.append(f"clip_C must be > 0, got {cfg.clip_C}")
+        if cfg.weight_mode not in WEIGHT_MODES:
+            v.append(f"weight_mode must be one of {WEIGHT_MODES}, got {cfg.weight_mode!r}")
         if cfg.scheduler not in ("fixed", "crd", "decay"):
             v.append(f"scheduler must be fixed|crd|decay, got {cfg.scheduler!r}")
         if cfg.scheduler == "decay" and math.isinf(cfg.epsilon_p):
@@ -327,13 +332,13 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
     )
 
 
-def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset):
+def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
     # the convergence theory needs eta <= 1/L; only the convex models have a
     # cheaply estimable L (top Gram eigenvalue + ridge), so gate on those
-    if spec.kind == "mlp" or train.feature_dim > 2000:
+    if spec.kind == "mlp" or spec.input_dim > 2000:
         return
-    X = train.features
-    gram_top = float(np.linalg.eigvalsh(X.T @ X / len(X)).max())
+    gram = sum(s.features.T @ s.features for s in shards)
+    gram_top = float(np.linalg.eigvalsh(gram / sum(len(s) for s in shards)).max())
     L = gram_top + (cfg.kappa if spec.kind == "svm" else 0.0)
     if spec.kind == "logistic":
         L = 0.5 * (gram_top + 1.0)  # bias-augmented, softmax curvature <= 1/2
@@ -378,7 +383,9 @@ def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
     Returns ``(server, clients, federation config)``: every client holds the
     budget ``(epsilon_p, delta_p)`` and the server starts at round budget
     ``T_init`` from parameters drawn from the seed's initialization stream.
+    Raises ``ConfigError`` if a convex model's ``eta`` exceeds 1/L of the shards.
     """
+    _check_eta_against_smoothness(cfg, spec, shards)
     budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
     clients = [ClientState(i, shard, budget) for i, shard in enumerate(shards)]
     fcfg = FederationConfig(
@@ -395,7 +402,6 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     outdir = Path(outdir)
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     spec = build_model_spec(cfg, train_eval)
-    _check_eta_against_smoothness(cfg, spec, train_eval)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
 
     if cfg.scheduler == "decay":

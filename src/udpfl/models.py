@@ -157,63 +157,99 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _hinge_terms(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Per-sample hinge values and active-set indicator for either form."""
-    scores = X @ w
-    if spec.hinge == "label_threshold":
-        slack = y - scores
-    else:
-        slack = 1.0 - y * scores
-    return scores, np.maximum(slack, 0.0), (slack > 0.0)
+def _scores(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The forward pass: per-sample scores (svm) or logits (logistic, mlp)."""
+    if spec.kind == "svm":
+        return X @ params
+    if spec.kind == "logistic":
+        W, b = _unpack_logistic(spec, params)
+        return X @ W + b
+    W1, b1, W2, b2 = _unpack_mlp(spec, params)
+    return np.maximum(X @ W1 + b1, 0.0) @ W2 + b2
+
+
+def _loss_from_scores(spec, params, scores, y) -> float:
+    if spec.kind == "svm":
+        slack = y - scores if spec.hinge == "label_threshold" else 1.0 - y * scores
+        return float(np.maximum(slack, 0.0).mean() + 0.5 * spec.kappa * params @ params)
+    logp = _log_softmax(scores)
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
+def _labels_from_scores(spec, scores) -> np.ndarray:
+    if spec.kind == "svm":
+        return np.where(scores >= 0.0, 1, -1)
+    return np.argmax(scores, axis=1)
 
 
 def loss(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Mean per-sample loss (the svm per-sample loss includes the ridge term)."""
     X, y = _check_batch(spec, params, X, y)
-    if spec.kind == "svm":
-        _, hinge, _ = _hinge_terms(spec, params, X, y)
-        return float(hinge.mean() + 0.5 * spec.kappa * params @ params)
-    if spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        logp = _log_softmax(X @ W + b)
-    else:
-        W1, b1, W2, b2 = _unpack_mlp(spec, params)
-        H = np.maximum(X @ W1 + b1, 0.0)
-        logp = _log_softmax(H @ W2 + b2)
-    return float(-logp[np.arange(len(y)), y].mean())
+    return _loss_from_scores(spec, params, _scores(spec, params, X), y)
 
 
 def predict(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if spec.kind == "svm":
-        return np.where(X @ params >= 0.0, 1, -1)
-    if spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        return np.argmax(X @ W + b, axis=1)
-    W1, b1, W2, b2 = _unpack_mlp(spec, params)
-    H = np.maximum(X @ W1 + b1, 0.0)
-    return np.argmax(H @ W2 + b2, axis=1)
+    return _labels_from_scores(spec, _scores(spec, params, np.asarray(X, dtype=float)))
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(predict(spec, params, X) == np.asarray(y)))
 
 
-def _svm_backward(spec, w, X, y):
-    scores = X @ w
-    if spec.hinge == "label_threshold":
-        active = (y - scores) > 0.0
-        coeff = active.astype(float)  # gradient of hinge part is -coeff*x
-    else:
-        active = (1.0 - y * scores) > 0.0
-        coeff = active.astype(float) * y
-    ww = float(w @ w)
-    norms2 = (
-        spec.kappa**2 * ww
-        - 2.0 * spec.kappa * coeff * scores
-        + np.abs(coeff) * (X * X).sum(axis=1)
+def loss_and_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple:
+    """``(loss(...), accuracy(...))`` from a single forward pass."""
+    X, y = _check_batch(spec, params, X, y)
+    scores = _scores(spec, params, X)
+    return (
+        _loss_from_scores(spec, params, scores, y),
+        float(np.mean(_labels_from_scores(spec, scores) == y)),
     )
-    return coeff, norms2
+
+
+def _backward(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """``(norms2, grad_sum)``: per-sample squared gradient norms, and a function
+    mapping per-sample weights s to the flat sum of s[i] times sample i's gradient.
+    """
+    n = len(X)
+    if spec.kind == "svm":
+        scores = X @ params
+        if spec.hinge == "label_threshold":
+            coeff = ((y - scores) > 0.0).astype(float)  # hinge gradient is -coeff*x
+        else:
+            coeff = ((1.0 - y * scores) > 0.0).astype(float) * y
+        norms2 = (
+            spec.kappa**2 * float(params @ params)
+            - 2.0 * spec.kappa * coeff * scores
+            + np.abs(coeff) * (X * X).sum(axis=1)
+        )
+        return norms2, lambda s: s.sum() * spec.kappa * params - X.T @ (s * coeff)
+    if spec.kind == "logistic":
+        W, b = _unpack_logistic(spec, params)
+        D = _softmax(X @ W + b)
+        D[np.arange(n), y] -= 1.0
+        norms2 = (D * D).sum(axis=1) * ((X * X).sum(axis=1) + 1.0)
+
+        def grad_sum(s):
+            Ds = D * s[:, None]
+            return np.concatenate([(X.T @ Ds).ravel(), Ds.sum(axis=0)])
+
+        return norms2, grad_sum
+    W1, b1, W2, b2 = _unpack_mlp(spec, params)
+    Z1 = X @ W1 + b1
+    H = np.maximum(Z1, 0.0)
+    D2 = _softmax(H @ W2 + b2)
+    D2[np.arange(n), y] -= 1.0
+    D1 = (D2 @ W2.T) * (Z1 > 0.0)
+    x2, h2 = (X * X).sum(axis=1) + 1.0, (H * H).sum(axis=1) + 1.0
+    norms2 = (D1 * D1).sum(axis=1) * x2 + (D2 * D2).sum(axis=1) * h2
+
+    def grad_sum(s):
+        D1s, D2s = D1 * s[:, None], D2 * s[:, None]
+        return np.concatenate(
+            [(X.T @ D1s).ravel(), D1s.sum(axis=0), (H.T @ D2s).ravel(), D2s.sum(axis=0)]
+        )
+
+    return norms2, grad_sum
 
 
 def per_sample_grad_norms(
@@ -221,23 +257,7 @@ def per_sample_grad_norms(
 ) -> np.ndarray:
     """L2 norms of the unclipped per-sample gradients."""
     X, y = _check_batch(spec, params, X, y)
-    if spec.kind == "svm":
-        _, norms2 = _svm_backward(spec, params, X, y)
-    elif spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        D = _softmax(X @ W + b)
-        D[np.arange(len(y)), y] -= 1.0
-        norms2 = (D * D).sum(axis=1) * ((X * X).sum(axis=1) + 1.0)
-    else:
-        W1, b1, W2, b2 = _unpack_mlp(spec, params)
-        Z1 = X @ W1 + b1
-        H = np.maximum(Z1, 0.0)
-        D2 = _softmax(H @ W2 + b2)
-        D2[np.arange(len(y)), y] -= 1.0
-        D1 = (D2 @ W2.T) * (Z1 > 0.0)
-        norms2 = (D1 * D1).sum(axis=1) * ((X * X).sum(axis=1) + 1.0) + (
-            D2 * D2
-        ).sum(axis=1) * ((H * H).sum(axis=1) + 1.0)
+    norms2, _ = _backward(spec, params, X, y)
     return np.sqrt(np.maximum(norms2, 0.0))
 
 
@@ -254,37 +274,8 @@ def clipped_gradient_sum(
     if clip <= 0.0:
         raise ValueError(f"clip threshold must be > 0, got {clip}")
     X, y = _check_batch(spec, params, X, y)
-    n = len(X)
-    if spec.kind == "svm":
-        coeff, norms2 = _svm_backward(spec, params, X, y)
-        s = _clip_factors(norms2, clip)
-        return s.sum() * spec.kappa * params - X.T @ (s * coeff)
-    if spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        D = _softmax(X @ W + b)
-        D[np.arange(n), y] -= 1.0
-        norms2 = (D * D).sum(axis=1) * ((X * X).sum(axis=1) + 1.0)
-        Ds = D * _clip_factors(norms2, clip)[:, None]
-        return np.concatenate([(X.T @ Ds).ravel(), Ds.sum(axis=0)])
-    W1, b1, W2, b2 = _unpack_mlp(spec, params)
-    Z1 = X @ W1 + b1
-    H = np.maximum(Z1, 0.0)
-    D2 = _softmax(H @ W2 + b2)
-    D2[np.arange(n), y] -= 1.0
-    D1 = (D2 @ W2.T) * (Z1 > 0.0)
-    norms2 = (D1 * D1).sum(axis=1) * ((X * X).sum(axis=1) + 1.0) + (D2 * D2).sum(
-        axis=1
-    ) * ((H * H).sum(axis=1) + 1.0)
-    s = _clip_factors(norms2, clip)[:, None]
-    D1s, D2s = D1 * s, D2 * s
-    return np.concatenate(
-        [
-            (X.T @ D1s).ravel(),
-            D1s.sum(axis=0),
-            (H.T @ D2s).ravel(),
-            D2s.sum(axis=0),
-        ]
-    )
+    norms2, grad_sum = _backward(spec, params, X, y)
+    return grad_sum(_clip_factors(norms2, clip))
 
 
 def per_sample_gradient(spec: ModelSpec, params: np.ndarray, sample: Sample) -> np.ndarray:

@@ -8,6 +8,7 @@ federation machinery).
 import numpy as np
 import pytest
 
+from udpfl import models
 from udpfl.accountant import (
     BudgetExhausted,
     PrivacyBudget,
@@ -221,6 +222,21 @@ def test_run_round_appends_complete_record():
     assert server.t == 1 and len(server.records) == 1
     # every client was charged, selected or not
     assert all(len(c.sigma_history) == 1 for c in clients)
+
+
+def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch):
+    spec, clients, cfg, server, train_eval, test = make_federation(
+        epsilon=4.0, K=3, T=10
+    )
+    rows, forward = [], models._scores
+
+    def counting(spec, params, X):
+        rows.append(len(X))
+        return forward(spec, params, X)
+
+    monkeypatch.setattr(models, "_scores", counting)
+    run_round(server, clients, cfg, train_eval, test)
+    assert rows == [len(train_eval), len(test)]
 
 
 def test_sigma_constant_while_T_fixed_and_matches_closed_form():

@@ -9,7 +9,7 @@ import pytest
 
 from udpfl import cli
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
-from udpfl.federation import evaluate, run_training
+from udpfl.federation import WEIGHT_MODES, evaluate, run_training
 from udpfl.harness import (
     ROUNDS_COLUMNS,
     ConfigError,
@@ -30,6 +30,7 @@ from udpfl.harness import (
     sweep,
     verify_accountant,
 )
+from udpfl.models import HINGE_FORMS
 from udpfl.scheduler import CrdConfig, CrdScheduler
 
 SVM_BASE = dict(
@@ -83,6 +84,14 @@ def test_validation_lists_every_violation():
     with pytest.raises(ConfigError) as err:
         cfg.check()
     assert len(err.value.violations) == len(violations)
+
+
+@pytest.mark.parametrize("key, allowed", [("weight_mode", WEIGHT_MODES), ("hinge", HINGE_FORMS)])
+def test_validation_checks_constructor_constants(key, allowed):
+    bogus = ExperimentConfig.from_dict(dict(SVM_BASE, **{key: "bogus"}))
+    assert [v for v in bogus.validate() if key in v and "'bogus'" in v]
+    for value in allowed:
+        assert ExperimentConfig.from_dict(dict(SVM_BASE, **{key: value})).validate() == []
 
 
 def test_eta_defaults_per_model_kind():
@@ -192,6 +201,13 @@ def test_eta_smoothness_guard_recorded_in_manifest(tmp_path):
     manifest = run_experiment(svm_cfg(tmp_path, eta=50.0))
     assert set(manifest.errors) == {"1", "2"}
     assert "1/L" in manifest.errors["1"]
+
+
+def test_build_simulation_applies_eta_smoothness_guard(tmp_path):
+    cfg = svm_cfg(tmp_path, eta=50.0).check()
+    shards, train_eval, _ = load_experiment_data(cfg, 1)
+    with pytest.raises(ConfigError, match="1/L"):
+        build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
 
 
 def test_crd_run_emits_nonincreasing_T(tmp_path):

@@ -5,6 +5,8 @@ loops written here from the chain rule (outer products, no norm
 factorization), and against central finite differences of the loss.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from udpfl.models import (
     init_params,
     local_update,
     loss,
+    loss_and_accuracy,
     param_count,
     per_sample_grad_norms,
     per_sample_gradient,
@@ -316,6 +319,39 @@ def test_mlp_training_reduces_loss_on_tiny_problem():
         params = local_update(spec, params, X, y, eta=0.5, clip=1e9)
     assert loss(spec, params, X, y) < 0.5 * first
     assert accuracy(spec, params, X, y) > 0.8
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+def test_loss_and_accuracy_equals_separate_passes(spec):
+    X, y = make_batch(spec, 50, seed=8)
+    params = np.random.default_rng(9).normal(size=param_count(spec))
+    fused = loss_and_accuracy(spec, params, X, y)
+    assert fused == (loss(spec, params, X, y), accuracy(spec, params, X, y))
+    assert 0.0 < fused[1] < 1.0  # a non-degenerate comparison
+
+
+_LOGISTIC = ModelSpec("logistic", input_dim=3, num_classes=2)
+_SVM = ModelSpec("svm", input_dim=3, kappa=0.1)
+
+
+@pytest.mark.parametrize(
+    "spec, params, X, y",
+    [
+        (_LOGISTIC, np.zeros(8), np.zeros((2, 4)), np.array([0, 1])),
+        (_LOGISTIC, np.zeros(8), np.zeros((0, 3)), np.array([], dtype=int)),
+        (_LOGISTIC, np.zeros(8), np.zeros((2, 3)), np.array([0, 1, 1])),
+        (_LOGISTIC, np.zeros(8), np.zeros((2, 3)), np.array([0, 5])),
+        (_LOGISTIC, np.zeros(8), np.zeros((2, 3)), np.array([0.0, 1.0])),
+        (_LOGISTIC, np.zeros(7), np.zeros((2, 3)), np.array([0, 1])),
+        (_SVM, np.zeros(3), np.zeros((1, 3)), np.array([0])),
+    ],
+    ids=["features", "empty", "label-shape", "label-range", "label-dtype", "params", "svm-labels"],
+)
+def test_loss_and_accuracy_validates_like_loss(spec, params, X, y):
+    with pytest.raises(ValueError) as expected:
+        loss(spec, params, X, y)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        loss_and_accuracy(spec, params, X, y)
 
 
 def test_validation_errors():
