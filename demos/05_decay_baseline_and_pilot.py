@@ -49,8 +49,8 @@ server, clients, fcfg = build_simulation(dataclasses.replace(cfg, clip_C=C), 1, 
 
 result = linear_decay_baseline(server, clients, fcfg, train_eval, test)
 print(
-    f"\ndecay baseline: sigma_start={result.sigma_start[0]:.4e}, nominal horizon 80, "
-    f"ran {result.rounds_run} rounds, halt reason: {result.halt_reason}"
+    f"\ndecay baseline: sigma_start={result.records[0].sigma_by_client[0]:.4e}, "
+    f"nominal horizon 80, ran {result.realized_T} rounds, halt reason: {result.stop_reason}"
 )
 
 B = inverse_variance_budget(PrivacyBudget(6.0, 1e-3), 1.0, sensitivity(0.05, C, 64))

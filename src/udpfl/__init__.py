@@ -7,3 +7,11 @@ and an experiment harness with a small CLI.
 """
 
 __version__ = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """Raised with the complete list of config violations."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid config:\n  - " + "\n  - ".join(self.violations))

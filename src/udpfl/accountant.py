@@ -32,6 +32,8 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate, special
 
+from . import ConfigError
+
 # Moment directions: the privacy loss can be measured with the mixture in the
 # numerator (the direction the binomial sum computes) or the base Gaussian in
 # the numerator (no closed form; quadrature only).
@@ -89,10 +91,13 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        v = []
+        if not self.epsilon > 0.0:
+            v.append(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+            v.append(f"delta must be in (0, 1), got {self.delta}")
+        if v:
+            raise ConfigError(v)
 
 
 def sensitivity(eta: float, clip: float, n_samples: int) -> float:
@@ -244,8 +249,6 @@ def log_moment_quadrature(m: MechanismParams, direction: str = D_BASE_MIX) -> fl
 
 def calibrate_sigma(b: PrivacyBudget, q: float, T: int, dl: float) -> float:
     """Noise std meeting budget ``b`` over ``T`` rounds: dl*sqrt(2qT ln(1/delta))/eps."""
-    if b.delta >= 1.0 or b.epsilon <= 0.0:
-        raise ValueError(f"invalid budget eps={b.epsilon} delta={b.delta}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
     if int(T) != T or T < 1:

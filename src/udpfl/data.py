@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ConfigError
+
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 
@@ -112,14 +114,17 @@ class PartitionPlan:
     size_pattern: tuple[int, ...] = (400, 600, 800, 1000, 1200)
 
     def __post_init__(self) -> None:
+        v = []
         if self.mode not in ("iid", "label_skew", "unbalanced"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
+            v.append(f"mode must be iid|label_skew|unbalanced, got {self.mode!r}")
         if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+            v.append(f"shard_size must be >= 1, got {self.shard_size}")
         if self.labels_per_client < 1:
-            raise ValueError("labels_per_client must be >= 1")
-        if self.mode == "unbalanced" and any(s < 1 for s in self.size_pattern):
-            raise ValueError("size_pattern entries must be >= 1")
+            v.append(f"labels_per_client must be >= 1, got {self.labels_per_client}")
+        if self.mode == "unbalanced" and not (self.size_pattern and min(self.size_pattern) >= 1):
+            v.append(f"size_pattern must be nonempty, entries >= 1, got {self.size_pattern}")
+        if v:
+            raise ConfigError(v)
 
 
 def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:

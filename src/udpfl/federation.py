@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ConfigError
 from .accountant import BudgetExhausted, PrivacyBudget, recalibrate_sigma, sensitivity
 # accuracy has no caller here; perfbench/layers.py wraps federation.accuracy by name
 from .models import ModelSpec, accuracy, local_update, loss, loss_and_accuracy
@@ -86,14 +87,17 @@ class FederationConfig:
     weight_mode: str = "by_size"  # one of WEIGHT_MODES
 
     def __post_init__(self) -> None:
+        v = []
         if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.clip <= 0:
-            raise ValueError(f"clip must be > 0, got {self.clip}")
+            v.append(f"K must be >= 1, got {self.K}")
+        if not self.eta > 0:
+            v.append(f"eta must be > 0, got {self.eta}")
+        if not self.clip > 0:
+            v.append(f"clip must be > 0, got {self.clip}")
         if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
+            v.append(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
+        if v:
+            raise ConfigError(v)
 
 
 @dataclass
@@ -101,7 +105,7 @@ class TrainingResult:
     params: np.ndarray
     records: list
     realized_T: int
-    stop_reason: str  # "completed" | "budget_exhausted"
+    stop_reason: str  # "completed" | "budget_exhausted" | "accountant_halt" | "sigma_floor"
 
 
 def sample_clients(U: int, K: int, rng: np.random.Generator) -> tuple:

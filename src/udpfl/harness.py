@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import ConfigError, __version__
 from .accountant import (
     D_BASE_MIX,
     D_MIX_BASE,
@@ -52,7 +52,6 @@ from .data import (
     synth_linear,
 )
 from .federation import (
-    WEIGHT_MODES,
     ClientState,
     FederationConfig,
     ServerState,
@@ -60,7 +59,7 @@ from .federation import (
     run_round,
     run_training,
 )
-from .models import HINGE_FORMS, ModelSpec, init_params, per_sample_grad_norms
+from .models import ModelSpec, init_params, per_sample_grad_norms
 from .scheduler import CrdConfig, CrdScheduler, linear_decay_baseline
 
 ROUNDS_COLUMNS = (
@@ -79,12 +78,10 @@ _TAG_INIT = 0
 _TAG_PARTITION = 11
 
 
-class ConfigError(ValueError):
-    """Raised with the complete list of config violations."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid config:\n  - " + "\n  - ".join(self.violations))
+# the component fields whose names differ from the config keys that set them
+_CONFIG_KEYS = dict(
+    kind="model_kind", mode="partition_mode", epsilon="epsilon_p", delta="delta_p", clip="clip_C"
+)
 
 
 @dataclass(frozen=True)
@@ -165,75 +162,69 @@ class ExperimentConfig:
         return d
 
     def validate(self) -> list:
-        """Return every violation (empty list = valid)."""
+        """Return every violation (empty list = valid): each component's own
+        rules, under config keys, then the rules no single component can state."""
         v = []
         cfg = self.resolved()
-        if cfg.model_kind not in ("svm", "logistic", "mlp"):
-            v.append(f"model_kind must be svm|logistic|mlp, got {cfg.model_kind!r}")
-        if cfg.model_kind == "mlp" and cfg.hidden_dim < 1:
-            v.append(f"hidden_dim must be >= 1, got {cfg.hidden_dim}")
-        if cfg.model_kind == "svm" and cfg.kappa <= 0:
-            v.append(f"kappa must be > 0, got {cfg.kappa}")
-        if cfg.hinge not in HINGE_FORMS:
-            v.append(f"hinge must be one of {HINGE_FORMS}, got {cfg.hinge!r}")
+        for build in (
+            # 1 and 2 stand in for input_dim and num_classes, which the data fixes
+            lambda: ModelSpec(cfg.model_kind, 1, 2, cfg.hidden_dim, cfg.kappa, cfg.hinge),
+            lambda: PartitionPlan(
+                cfg.partition_mode, cfg.shard_size, cfg.labels_per_client, cfg.size_pattern
+            ),
+            lambda: PrivacyBudget(cfg.epsilon_p, cfg.delta_p),
+            # no rule reads the spec or the seed, which the data and the run fix
+            lambda: FederationConfig(None, cfg.K, cfg.eta, cfg.clip_C, 0, cfg.weight_mode),
+            lambda: CrdConfig(cfg.beta, cfg.zeta, cfg.T_init),
+        ):
+            try:
+                build()
+            except ConfigError as exc:
+                for message in exc.violations:
+                    name, rest = message.split(" ", 1)
+                    v.append(f"{_CONFIG_KEYS.get(name, name)} {rest}")
         if cfg.data_source not in ("mnist", "synthetic", "csv"):
             v.append(f"data_source must be mnist|synthetic|csv, got {cfg.data_source!r}")
         if cfg.data_source == "csv" and not cfg.csv_train:
             v.append("csv data source needs csv_train")
         if cfg.data_source == "mnist" and cfg.model_kind == "svm":
             v.append("svm needs binary +1/-1 labels; mnist is 10-class")
-        if cfg.data_source == "synthetic" and cfg.model_kind != "svm":
+        synthetic = cfg.data_source == "synthetic"
+        if synthetic and cfg.model_kind != "svm":
             v.append("synthetic data is binary +1/-1; use model_kind svm")
-        if cfg.partition_mode not in ("iid", "label_skew", "unbalanced"):
-            v.append(f"partition_mode must be iid|label_skew|unbalanced, got {cfg.partition_mode!r}")
-        if cfg.partition_mode == "unbalanced" and cfg.U % len(cfg.size_pattern) != 0:
+        if synthetic and cfg.partition_mode == "label_skew":
+            v.append("synthetic data is binary +1/-1; label_skew needs class indices")
+        if synthetic and cfg.partition_mode == "iid" and cfg.shard_size is None:
+            v.append("synthetic data needs shard_size to size the pool")
+        if cfg.partition_mode == "unbalanced" and cfg.U % max(len(cfg.size_pattern), 1):
             v.append(f"unbalanced mode needs U divisible by {len(cfg.size_pattern)}")
         if cfg.U < 1:
             v.append(f"U must be >= 1, got {cfg.U}")
-        if not 1 <= cfg.K <= cfg.U:
-            v.append(f"need 1 <= K <= U, got K={cfg.K}, U={cfg.U}")
-        if cfg.T_init < 1:
-            v.append(f"T_init must be >= 1, got {cfg.T_init}")
-        if not cfg.epsilon_p > 0:
-            v.append(f"epsilon_p must be > 0, got {cfg.epsilon_p}")
-        if not 0 < cfg.delta_p < 1:
-            v.append(f"delta_p must be in (0, 1), got {cfg.delta_p}")
-        if not cfg.eta > 0:
-            v.append(f"eta must be > 0, got {cfg.eta}")
-        if not cfg.clip_C > 0:
-            v.append(f"clip_C must be > 0, got {cfg.clip_C}")
-        if cfg.weight_mode not in WEIGHT_MODES:
-            v.append(f"weight_mode must be one of {WEIGHT_MODES}, got {cfg.weight_mode!r}")
+        if cfg.K > cfg.U:
+            v.append(f"need K <= U, got K={cfg.K}, U={cfg.U}")
         if cfg.scheduler not in ("fixed", "crd", "decay"):
             v.append(f"scheduler must be fixed|crd|decay, got {cfg.scheduler!r}")
         if cfg.scheduler == "decay" and math.isinf(cfg.epsilon_p):
             # the decay schedule starts at the calibrated sigma, which is 0 here
             v.append("scheduler decay needs a finite epsilon_p")
-        if not 0 < cfg.beta < 1:
-            v.append(f"beta must be in (0, 1), got {cfg.beta}")
-        if cfg.zeta <= 0:
-            v.append(f"zeta must be > 0, got {cfg.zeta}")
-        if cfg.slope_fraction < 0:
+        if not cfg.slope_fraction >= 0:
             v.append(f"slope_fraction must be >= 0, got {cfg.slope_fraction}")
         if not cfg.seeds:
             v.append("seeds must be nonempty")
         if cfg.workers < 1:
             v.append(f"workers must be >= 1, got {cfg.workers}")
-        if cfg.shard_size is not None and cfg.shard_size < 1:
-            v.append(f"shard_size must be >= 1, got {cfg.shard_size}")
         # round-0 noise calibration must be well-posed before any data loads
         if not v and math.isfinite(cfg.epsilon_p):
             size = cfg.shard_size or (
                 min(cfg.size_pattern) if cfg.partition_mode == "unbalanced" else None
             )
             if size is not None:
-                dl = sensitivity(cfg.eta, cfg.clip_C, size)
                 try:
                     s0 = calibrate_sigma(
                         PrivacyBudget(cfg.epsilon_p, cfg.delta_p),
-                        cfg.K / cfg.U, cfg.T_init, dl,
+                        cfg.K / cfg.U, cfg.T_init, sensitivity(cfg.eta, cfg.clip_C, size),
                     )
-                except (ValueError, ZeroDivisionError) as exc:
+                except (ValueError, ArithmeticError) as exc:
                     v.append(f"round-0 calibration failed: {exc}")
                 else:
                     if not (s0 > 0 and math.isfinite(s0)):
@@ -291,8 +282,6 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
         if cfg.partition_mode == "unbalanced":
             n_train = sum(cfg.size_pattern) * (cfg.U // len(cfg.size_pattern))
         else:
-            if cfg.shard_size is None:
-                raise ConfigError(["synthetic data needs shard_size to size the pool"])
             n_train = cfg.U * cfg.shard_size
         full = synth_linear(
             n_train + cfg.synth_n_test, cfg.synth_dim, cfg.synth_margin, cfg.data_seed
@@ -409,7 +398,6 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
             server, clients, fcfg, train_eval, test_eval,
             slope_fraction=cfg.slope_fraction,
         )
-        records, stop = result.records, result.halt_reason
     else:
         on_round = None
         if cfg.scheduler == "crd":
@@ -420,7 +408,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
         result = run_training(
             server, clients, fcfg, train_eval, test_eval, on_round=on_round
         )
-        records, stop = result.records, result.stop_reason
+    records, stop = result.records, result.stop_reason
 
     if not records:
         raise RuntimeError(f"seed {seed}: run produced no rounds ({stop})")

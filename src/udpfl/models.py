@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ConfigError
+
 KINDS = ("svm", "logistic", "mlp")
 HINGE_FORMS = ("label_threshold", "unit_margin")
 
@@ -56,18 +58,21 @@ class ModelSpec:
     hinge: str = "label_threshold"
 
     def __post_init__(self) -> None:
+        v = []
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            v.append(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+            v.append(f"input_dim must be >= 1, got {self.input_dim}")
         if self.kind != "svm" and self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+            v.append(f"num_classes must be >= 2, got {self.num_classes}")
         if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError(f"mlp needs hidden_dim >= 1, got {self.hidden_dim}")
-        if self.kind == "svm" and self.kappa <= 0.0:
-            raise ValueError(f"svm needs kappa > 0, got {self.kappa}")
+            v.append(f"hidden_dim must be >= 1 for mlp, got {self.hidden_dim}")
+        if self.kind == "svm" and not self.kappa > 0.0:
+            v.append(f"kappa must be > 0 for svm, got {self.kappa}")
         if self.hinge not in HINGE_FORMS:
-            raise ValueError(f"hinge must be one of {HINGE_FORMS}, got {self.hinge!r}")
+            v.append(f"hinge must be one of {HINGE_FORMS}, got {self.hinge!r}")
+        if v:
+            raise ConfigError(v)
 
 
 def param_count(spec: ModelSpec) -> int:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import ConfigError
 from .accountant import MomentLedger, calibrate_sigma, sensitivity
+# evaluate has no caller here; perfbench/layers.py wraps scheduler.evaluate by name
 from .federation import FederationConfig, ServerState, TrainingResult, evaluate, run_round
 
 # floor() guard so values like 0.9*150 = 134.99999999999997 floor to 135
@@ -32,12 +34,15 @@ class CrdConfig:
     T_init: int = 200
 
     def __post_init__(self) -> None:
+        v = []
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.zeta <= 0.0:
-            raise ValueError(f"zeta must be > 0, got {self.zeta}")
+            v.append(f"beta must be in (0, 1), got {self.beta}")
+        if not self.zeta > 0.0:
+            v.append(f"zeta must be > 0, got {self.zeta}")
         if self.T_init < 1:
-            raise ValueError(f"T_init must be >= 1, got {self.T_init}")
+            v.append(f"T_init must be >= 1, got {self.T_init}")
+        if v:
+            raise ConfigError(v)
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,6 @@ class CrdScheduler:
         self.prev_v = v
 
 
-@dataclass
-class DecayResult:
-    params: object
-    records: list
-    rounds_run: int
-    halt_reason: str  # "accountant_halt" | "sigma_floor" | "completed"
-    sigma_start: dict  # client id -> starting noise scale
-    initial_test_loss: float
-
-
 def linear_decay_baseline(
     server: ServerState,
     clients: list,
@@ -103,7 +98,7 @@ def linear_decay_baseline(
     train_eval,
     test_eval,
     slope_fraction: float = 1.0,
-) -> DecayResult:
+) -> TrainingResult:
     """Linearly shrinking noise, halted by the cumulative moment accountant.
 
     Round r uses ``sigma_start - slope*r`` per client, with
@@ -113,7 +108,7 @@ def linear_decay_baseline(
     exceed its delta at its epsilon — so at halt the spent privacy is
     within budget and one more round would not be.
     """
-    if slope_fraction < 0.0:
+    if not slope_fraction >= 0.0:
         raise ValueError(f"slope_fraction must be >= 0, got {slope_fraction}")
     U = len(clients)
     q = cfg.K / U
@@ -124,7 +119,6 @@ def linear_decay_baseline(
         ledgers[c.id] = MomentLedger(q, dl)
     slopes = {i: slope_fraction * s / server.T for i, s in sigma_start.items()}
 
-    v0, _ = evaluate(cfg.spec, server.global_params, test_eval)
     halt = "completed"
     while server.t < server.T:
         r = server.t
@@ -141,11 +135,4 @@ def linear_decay_baseline(
         run_round(server, clients, cfg, train_eval, test_eval, sigma_override=sig)
         for c in clients:
             ledgers[c.id].charge(sig[c.id])
-    return DecayResult(
-        params=server.global_params,
-        records=server.records,
-        rounds_run=server.t,
-        halt_reason=halt,
-        sigma_start=sigma_start,
-        initial_test_loss=v0,
-    )
+    return TrainingResult(server.global_params, server.records, server.t, halt)

@@ -419,7 +419,7 @@ def test_10_every_run_stays_within_noise_budget(u_shape_runs, discounting_runs):
     cfg, shards, train_eval, test, spec = _svm_env(1)
     server, clients, fcfg = build_simulation(dataclasses.replace(cfg, T_init=60), 1, shards, spec)
     decay = linear_decay_baseline(server, clients, fcfg, train_eval, test)
-    assert decay.rounds_run > 0
+    assert decay.realized_T > 0
     LEDGER_AUDIT.append((
         "svm_decay_s1", "decay",
         _ledger_margin(clients, 1.0, SVM_U["eta"], SVM_U["clip"], SVM_U["shard"]),

@@ -1,6 +1,7 @@
-"""The quick demos run to completion as scripts."""
+"""The quick demos and the README quickstart run to completion as scripts."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +11,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["01_noise_calibration", "02_moment_bounds", "05_decay_baseline_and_pilot"]
-)
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    # a temporary working directory, because demo 05 writes runs/ under it
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_noise_calibration", "02_moment_bounds", "05_decay_baseline_and_pilot"]
+)
+def test_demo_runs(demo, tmp_path):
+    # a temporary working directory, because demo 05 writes runs/ under it
+    proc = run_python([str(ROOT / "demos" / f"{demo}.py")], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    proc = run_python(["-c", blocks[0]], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udpfl import cli
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
@@ -111,6 +113,111 @@ def test_decay_scheduler_needs_finite_epsilon(tmp_path):
     cfg = svm_cfg(tmp_path, scheduler="decay", epsilon_p="inf")
     assert "scheduler decay needs a finite epsilon_p" in cfg.validate()
     assert svm_cfg(tmp_path, scheduler="fixed", epsilon_p="inf").validate() == []
+
+
+@pytest.mark.parametrize(
+    "over, prefix",
+    [
+        (dict(partition_mode="unbalanced", size_pattern=(0, 1, 1, 1, 1), shard_size=None),
+         "size_pattern"),
+        (dict(partition_mode="unbalanced", size_pattern=(), shard_size=None), "size_pattern"),
+        (dict(labels_per_client=0), "labels_per_client"),
+        (dict(shard_size=None), "synthetic data needs shard_size"),
+        (dict(partition_mode="label_skew"), "synthetic data is binary +1/-1; label_skew"),
+        (dict(zeta=math.nan), "zeta"),
+        (dict(kappa=math.nan), "kappa"),
+        (dict(epsilon_p=math.nan), "epsilon_p"),
+        (dict(delta_p=1.0), "delta_p"),
+        (dict(clip_C=0.0), "clip_C"),
+        (dict(partition_mode="random"), "partition_mode"),
+    ],
+)
+def test_validation_reports_component_rules_under_config_keys(over, prefix):
+    # a component rule, reported under the config key that sets the field
+    violations = ExperimentConfig.from_dict(dict(SVM_BASE, **over)).validate()
+    assert [v for v in violations if v.startswith(prefix)], violations
+
+
+# edge values of every validated field, valid or not
+EDGES = dict(
+    model_kind=("logistic", "tree"),
+    hidden_dim=(0, -1),
+    kappa=(0.0, -1.0, math.nan, math.inf),
+    hinge=("bogus",),
+    data_source=("csv", "mnist", "bogus"),
+    partition_mode=("label_skew", "random"),
+    shard_size=(0, -1),
+    labels_per_client=(0, -1),
+    size_pattern=((0, 1, 1, 1, 1), (), (-1,), (1,)),
+    U=(0, -1, 5),
+    K=(0, 7),
+    T_init=(0, -1),
+    epsilon_p=(math.inf, 0.0, -1.0, math.nan, 5e-324),
+    delta_p=(0.0, 1.0, math.nan, 5e-324),
+    eta=(0.0, -1.0, math.nan, math.inf, 1e-300),
+    clip_C=(0.0, math.nan, math.inf),
+    weight_mode=("bogus",),
+    scheduler=("magic",),
+    beta=(0.0, 1.0, math.nan),
+    zeta=(0.0, -1.0, math.nan),
+    slope_fraction=(-0.5, math.nan),
+    seeds=((),),
+    workers=(0,),
+)
+
+
+@st.composite
+def small_svm_configs(draw):
+    """A small synthetic SVM config, with up to two fields set to an edge value."""
+    U = draw(st.integers(1, 6))
+    n_sizes = draw(st.sampled_from([k for k in range(1, U + 1) if U % k == 0]))
+    fields = dict(
+        model_kind="svm",
+        hidden_dim=draw(st.integers(1, 4)),
+        kappa=draw(st.floats(1e-3, 1.0)),
+        hinge=draw(st.sampled_from(HINGE_FORMS)),
+        data_source="synthetic",
+        partition_mode=draw(st.sampled_from(("iid", "unbalanced"))),
+        shard_size=draw(st.none() | st.integers(1, 8)),
+        labels_per_client=draw(st.integers(1, 4)),
+        size_pattern=tuple(draw(st.lists(st.integers(1, 8), min_size=n_sizes, max_size=n_sizes))),
+        synth_dim=3,
+        synth_n_test=10,
+        U=U,
+        K=draw(st.integers(1, U)),
+        T_init=draw(st.integers(1, 10)),
+        epsilon_p=draw(st.floats(0.5, 10.0)),
+        delta_p=draw(st.floats(1e-5, 0.5)),
+        eta=draw(st.none() | st.floats(1e-3, 0.5)),
+        clip_C=draw(st.floats(0.1, 2.0)),
+        weight_mode=draw(st.sampled_from(WEIGHT_MODES)),
+        scheduler=draw(st.sampled_from(("fixed", "crd", "decay"))),
+        beta=draw(st.floats(0.05, 0.95)),
+        zeta=draw(st.floats(1e-4, 0.1)),
+        slope_fraction=draw(st.floats(0.0, 2.0)),
+        seeds=(1,),
+        workers=1,
+    )
+    for key in draw(st.sets(st.sampled_from(sorted(EDGES)), max_size=2)):
+        fields[key] = draw(st.sampled_from(EDGES[key]))
+    return ExperimentConfig(**fields)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(small_svm_configs())
+def test_valid_config_builds_every_component(cfg):
+    """validate() == [] implies that loading the data and building the run raise
+    nothing, apart from the data-dependent eta <= 1/L guard."""
+    if cfg.validate():
+        return
+    cfg = cfg.resolved()
+    shards, train_eval, _ = load_experiment_data(cfg, cfg.seeds[0])
+    spec = build_model_spec(cfg, train_eval)
+    try:
+        build_simulation(cfg, cfg.seeds[0], shards, spec)
+    except ConfigError as exc:
+        assert len(exc.violations) == 1 and "1/L" in exc.violations[0]
+    CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init)
 
 
 def test_config_hash_tracks_resolved_fields():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_federation import make_federation
+from udpfl import ConfigError
 from udpfl.accountant import MomentLedger, ledger_within_budget, sensitivity
-from udpfl.federation import run_training
+from udpfl.federation import TrainingResult, run_training
 from udpfl.scheduler import (
     CrdConfig,
     CrdScheduler,
-    DecayResult,
     SchedulerDecision,
     crd_step,
     linear_decay_baseline,
@@ -99,6 +99,11 @@ def test_config_validation():
         CrdConfig(zeta=0.0)
     with pytest.raises(ValueError, match="T_init"):
         CrdConfig(T_init=0)
+    # every violation at once, in one ConfigError that is still a ValueError
+    with pytest.raises(ConfigError) as err:
+        CrdConfig(beta=1.0, zeta=0.0, T_init=0)
+    assert isinstance(err.value, ValueError)
+    assert len(err.value.violations) == 3
 
 
 # --- linear noise decay baseline ---
@@ -116,11 +121,11 @@ def run_decay(slope_fraction, epsilon=4.0, T=30, seed=3):
 
 def test_decay_zero_slope_halts_at_accountant_bound():
     result, clients, cfg = run_decay(0.0)
-    assert result.halt_reason == "accountant_halt"
-    assert 0 < result.rounds_run < 30
+    assert result.stop_reason == "accountant_halt"
+    assert 0 < result.realized_T < 30
     # constant sigma throughout
     for c in clients:
-        assert len(c.sigma_history) == result.rounds_run
+        assert len(c.sigma_history) == result.realized_T
         assert all(s == c.sigma_history[0] for s in c.sigma_history)
     # replay the ledger: spent rounds certify delta, one more would not
     c = clients[0]
@@ -133,7 +138,7 @@ def test_decay_zero_slope_halts_at_accountant_bound():
 
 
 def test_decay_faster_slope_halts_earlier():
-    rounds = [run_decay(f)[0].rounds_run for f in (0.0, 0.5, 1.0, 2.0)]
+    rounds = [run_decay(f)[0].realized_T for f in (0.0, 0.5, 1.0, 2.0)]
     assert all(b <= a for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] < rounds[0]
 
@@ -141,15 +146,15 @@ def test_decay_faster_slope_halts_earlier():
 def test_decay_sigma_floor_halt():
     # loose privacy + aggressive slope: sigma hits zero before the accountant
     result, clients, cfg = run_decay(10.0, epsilon=4.0, T=20)
-    assert result.halt_reason == "sigma_floor"
-    assert result.rounds_run == 2  # sigma(2) = sigma0 * (1 - 10*2/20) = 0
+    assert result.stop_reason == "sigma_floor"
+    assert result.realized_T == 2  # sigma(2) = sigma0 * (1 - 10*2/20) = 0
 
 
 def test_decay_records_and_inverse_variance_margin():
     result, clients, cfg = run_decay(1.0)
-    assert isinstance(result, DecayResult)
-    assert len(result.records) == result.rounds_run
-    sig0 = result.sigma_start[0]
+    assert isinstance(result, TrainingResult)
+    assert len(result.records) == result.realized_T
+    sig0 = next(iter(result.records[0].sigma_by_client.values()))
     # sigma trajectory decreases linearly in the emitted records
     for r in result.records:
         for i, s in r.sigma_by_client.items():
