@@ -13,17 +13,17 @@ Needs the MNIST IDX files (fetch them once with `udpfl fetch-mnist`).
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
-from udpfl.federation import evaluate, run_training
 from udpfl.harness import (
     ExperimentConfig,
     build_model_spec,
     build_simulation,
     load_experiment_data,
+    run_simulation,
 )
-from udpfl.scheduler import CrdConfig, CrdScheduler
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--full", action="store_true", help="hidden width 256 instead of 32")
@@ -46,6 +46,8 @@ cfg = ExperimentConfig(
     delta_p=1e-3,
     eta=ETA,
     clip_C=CLIP,
+    beta=0.9,
+    zeta=1e-3,
 ).resolved()
 try:
     shards, train_eval, test = load_experiment_data(cfg, SEED)
@@ -54,20 +56,17 @@ except FileNotFoundError as e:
 spec = build_model_spec(cfg, train_eval)
 
 
-def run(discounted):
-    server, clients, fcfg = build_simulation(cfg, SEED, shards, spec)
-    on_round = None
-    if discounted:
-        v0, _ = evaluate(spec, server.global_params, test)
-        on_round = CrdScheduler(CrdConfig(beta=0.9, zeta=1e-3, T_init=T_INIT), v0)
+def run(scheduler):
+    run_cfg = dataclasses.replace(cfg, scheduler=scheduler)
+    server, clients, fcfg = build_simulation(run_cfg, SEED, shards, spec)
     t0 = time.time()
-    res = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)
+    res = run_simulation(run_cfg, server, clients, fcfg, train_eval, test)
     return res, time.time() - t0
 
 
 print(f"MNIST MLP 784->{HIDDEN}->10, U={U} K={K}, eps={args.epsilon}, T_init={T_INIT}")
 
-res, dt = run(discounted=True)
+res, dt = run("crd")
 print(f"\n[discounted] finished after {res.realized_T} rounds ({dt:.0f}s)")
 print("budget staircase (trigger round: discounted T):")
 stairs = [
@@ -82,7 +81,7 @@ sig_end = sorted(res.records[-1].sigma_by_client.values())[0]
 print(f"per-round sigma: {sig:.4e} at start -> {sig_end:.4e} at the end")
 crd_loss, crd_acc = res.records[-1].test_loss, res.records[-1].test_accuracy
 
-res, dt = run(discounted=False)
+res, dt = run("fixed")
 print(f"\n[fixed T={T_INIT}] ran all {res.realized_T} rounds ({dt:.0f}s)")
 print(f"\nfinal test loss / accuracy:")
 print(f"  discounted  {crd_loss:.4f} / {crd_acc:.4f}")

@@ -19,8 +19,8 @@ from udpfl.harness import (
     build_simulation,
     load_experiment_data,
     pilot_clip,
+    run_simulation,
 )
-from udpfl.scheduler import linear_decay_baseline
 
 cfg = ExperimentConfig(
     model_kind="svm",
@@ -38,6 +38,7 @@ cfg = ExperimentConfig(
     delta_p=1e-3,
     eta=0.05,
     clip_C=1.0,
+    scheduler="decay",
 ).resolved()
 
 C, log_path = pilot_clip(cfg, seed=1, rounds=3)
@@ -45,9 +46,10 @@ print(f"pilot clip recommendation: C = {C:.4f}   (norms logged to {log_path})")
 
 shards, train_eval, test = load_experiment_data(cfg, 1)
 spec = build_model_spec(cfg, train_eval)
-server, clients, fcfg = build_simulation(dataclasses.replace(cfg, clip_C=C), 1, shards, spec)
+cfg = dataclasses.replace(cfg, clip_C=C)
+server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
 
-result = linear_decay_baseline(server, clients, fcfg, train_eval, test)
+result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
 print(
     f"\ndecay baseline: sigma_start={result.records[0].sigma_by_client[0]:.4e}, "
     f"nominal horizon 80, ran {result.realized_T} rounds, halt reason: {result.stop_reason}"

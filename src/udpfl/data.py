@@ -239,8 +239,8 @@ def synth_linear(n: int, dim: int, margin: float, seed: int) -> Dataset:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin must be finite and > 0, got {margin}")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=dim)
     u /= np.linalg.norm(u)

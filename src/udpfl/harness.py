@@ -55,6 +55,7 @@ from .federation import (
     ClientState,
     FederationConfig,
     ServerState,
+    TrainingResult,
     evaluate,
     run_round,
     run_training,
@@ -80,7 +81,8 @@ _TAG_PARTITION = 11
 
 # the component fields whose names differ from the config keys that set them
 _CONFIG_KEYS = dict(
-    kind="model_kind", mode="partition_mode", epsilon="epsilon_p", delta="delta_p", clip="clip_C"
+    kind="model_kind", mode="partition_mode", epsilon="epsilon_p", delta="delta_p", clip="clip_C",
+    input_dim="synth_dim",
 )
 
 
@@ -166,9 +168,11 @@ class ExperimentConfig:
         rules, under config keys, then the rules no single component can state."""
         v = []
         cfg = self.resolved()
+        synthetic = cfg.data_source == "synthetic"
+        # the data fixes input_dim (synth_dim for synthetic data) and num_classes
+        dim = cfg.synth_dim if synthetic else 1
         for build in (
-            # 1 and 2 stand in for input_dim and num_classes, which the data fixes
-            lambda: ModelSpec(cfg.model_kind, 1, 2, cfg.hidden_dim, cfg.kappa, cfg.hinge),
+            lambda: ModelSpec(cfg.model_kind, dim, 2, cfg.hidden_dim, cfg.kappa, cfg.hinge),
             lambda: PartitionPlan(
                 cfg.partition_mode, cfg.shard_size, cfg.labels_per_client, cfg.size_pattern
             ),
@@ -189,7 +193,10 @@ class ExperimentConfig:
             v.append("csv data source needs csv_train")
         if cfg.data_source == "mnist" and cfg.model_kind == "svm":
             v.append("svm needs binary +1/-1 labels; mnist is 10-class")
-        synthetic = cfg.data_source == "synthetic"
+        if synthetic and not 0 < cfg.synth_margin < math.inf:
+            v.append(f"synth_margin must be finite and > 0, got {cfg.synth_margin}")
+        if synthetic and cfg.synth_n_test < 1:
+            v.append(f"synth_n_test must be >= 1, got {cfg.synth_n_test}")
         if synthetic and cfg.model_kind != "svm":
             v.append("synthetic data is binary +1/-1; use model_kind svm")
         if synthetic and cfg.partition_mode == "label_skew":
@@ -305,19 +312,9 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
 
 
 def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
-    if cfg.model_kind == "svm":
-        return ModelSpec(
-            "svm", input_dim=train.feature_dim, kappa=cfg.kappa, hinge=cfg.hinge
-        )
-    if cfg.model_kind == "logistic":
-        return ModelSpec(
-            "logistic", input_dim=train.feature_dim, num_classes=train.num_classes
-        )
+    """The model the config asks for; each kind reads only the fields it uses."""
     return ModelSpec(
-        "mlp",
-        input_dim=train.feature_dim,
-        num_classes=train.num_classes,
-        hidden_dim=cfg.hidden_dim,
+        cfg.model_kind, train.feature_dim, train.num_classes, cfg.hidden_dim, cfg.kappa, cfg.hinge
     )
 
 
@@ -385,6 +382,27 @@ def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
     return ServerState(global_params=params0, T=cfg.T_init), clients, fcfg
 
 
+def run_simulation(
+    cfg: ExperimentConfig, server, clients, fcfg: FederationConfig, train_eval, test_eval
+) -> TrainingResult:
+    """Train a wired simulation under the config's ``scheduler``.
+
+    ``fixed`` runs to the round budget.  ``crd`` discounts the budget by
+    ``beta`` whenever the test loss improves by less than ``zeta``, starting
+    from the initial model's test loss.  ``decay`` shrinks the noise linearly
+    (``slope_fraction``) until the moment accountant halts the run.
+    """
+    if cfg.scheduler == "decay":
+        return linear_decay_baseline(
+            server, clients, fcfg, train_eval, test_eval, slope_fraction=cfg.slope_fraction
+        )
+    on_round = None
+    if cfg.scheduler == "crd":
+        v0, _ = evaluate(fcfg.spec, server.global_params, test_eval)
+        on_round = CrdScheduler(CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0)
+    return run_training(server, clients, fcfg, train_eval, test_eval, on_round=on_round)
+
+
 def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     """Run one seed end-to-end and write rounds.csv + summary.json."""
     cfg = cfg.resolved()
@@ -392,22 +410,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     spec = build_model_spec(cfg, train_eval)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
-
-    if cfg.scheduler == "decay":
-        result = linear_decay_baseline(
-            server, clients, fcfg, train_eval, test_eval,
-            slope_fraction=cfg.slope_fraction,
-        )
-    else:
-        on_round = None
-        if cfg.scheduler == "crd":
-            v0, _ = evaluate(spec, server.global_params, test_eval)
-            on_round = CrdScheduler(
-                CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0
-            )
-        result = run_training(
-            server, clients, fcfg, train_eval, test_eval, on_round=on_round
-        )
+    result = run_simulation(cfg, server, clients, fcfg, train_eval, test_eval)
     records, stop = result.records, result.stop_reason
 
     if not records:

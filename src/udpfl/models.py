@@ -6,8 +6,8 @@ Three model kinds share one flat-parameter interface:
   ``max(y - w.x, 0)`` on labels y in {+1, -1}.  This is the form the
   simulated experiments use; the conventional ``max(1 - y*w.x, 0)`` margin
   hinge is available as ``hinge="unit_margin"``.
-* ``logistic``: multinomial logistic regression (weights + bias).
-* ``mlp``: one hidden ReLU layer, softmax cross-entropy readout.
+* ``logistic`` and ``mlp``: a softmax network with cross-entropy loss.
+  Logistic regression has no hidden layer; the MLP has one hidden ReLU layer.
 
 Parameters are a single flat float64 vector (layout documented per kind
 below), which is what federated aggregation and noise injection operate on.
@@ -45,9 +45,9 @@ class ModelSpec:
 
     Parameter layouts:
       svm      -> [w] of length input_dim (no bias; the scorer is w.x)
-      logistic -> [W.ravel(), b] with W (input_dim, num_classes)
-      mlp      -> [W1.ravel(), b1, W2.ravel(), b2] with W1 (input_dim,
-                  hidden_dim), W2 (hidden_dim, num_classes)
+      logistic, mlp -> [W1.ravel(), b1, W2.ravel(), b2, ...], one (W, b) per
+                  layer, W (fan_in, fan_out), over the widths input_dim,
+                  hidden_dim (mlp only), num_classes
     """
 
     kind: str
@@ -75,17 +75,17 @@ class ModelSpec:
             raise ConfigError(v)
 
 
+def _widths(spec: ModelSpec) -> tuple:
+    """The softmax network's layer widths, input to output."""
+    hidden = (spec.hidden_dim,) if spec.kind == "mlp" else ()
+    return (spec.input_dim, *hidden, spec.num_classes)
+
+
 def param_count(spec: ModelSpec) -> int:
     if spec.kind == "svm":
         return spec.input_dim
-    if spec.kind == "logistic":
-        return spec.input_dim * spec.num_classes + spec.num_classes
-    return (
-        spec.input_dim * spec.hidden_dim
-        + spec.hidden_dim
-        + spec.hidden_dim * spec.num_classes
-        + spec.num_classes
-    )
+    w = _widths(spec)
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(w, w[1:]))
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -94,37 +94,24 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     Linear models start at zero.  MLP layers draw uniformly from
     [-1/sqrt(fan_in), +1/sqrt(fan_in)] so early gradients stay bounded.
     """
-    if spec.kind in ("svm", "logistic"):
+    if spec.kind != "mlp":
         return np.zeros(param_count(spec))
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    bound1 = 1.0 / np.sqrt(d)
-    bound2 = 1.0 / np.sqrt(h)
-    return np.concatenate(
-        [
-            rng.uniform(-bound1, bound1, d * h),
-            rng.uniform(-bound1, bound1, h),
-            rng.uniform(-bound2, bound2, h * c),
-            rng.uniform(-bound2, bound2, c),
-        ]
-    )
+    w, draws = _widths(spec), []
+    for fan_in, fan_out in zip(w, w[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        draws += [rng.uniform(-bound, bound, fan_in * fan_out), rng.uniform(-bound, bound, fan_out)]
+    return np.concatenate(draws)
 
 
-def _unpack_logistic(spec: ModelSpec, params: np.ndarray):
-    d, c = spec.input_dim, spec.num_classes
-    return params[: d * c].reshape(d, c), params[d * c :]
-
-
-def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    i = 0
-    W1 = params[i : i + d * h].reshape(d, h)
-    i += d * h
-    b1 = params[i : i + h]
-    i += h
-    W2 = params[i : i + h * c].reshape(h, c)
-    i += h * c
-    b2 = params[i : i + c]
-    return W1, b1, W2, b2
+def _layers(spec: ModelSpec, params: np.ndarray) -> list:
+    """The softmax network's ``(W, b)`` per layer, as views of ``params``."""
+    w, layers, i = _widths(spec), [], 0
+    for fan_in, fan_out in zip(w, w[1:]):
+        W = params[i : i + fan_in * fan_out].reshape(fan_in, fan_out)
+        i += fan_in * fan_out
+        layers.append((W, params[i : i + fan_out]))
+        i += fan_out
+    return layers
 
 
 def _check_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray):
@@ -163,14 +150,13 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
 
 
 def _scores(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The forward pass: per-sample scores (svm) or logits (logistic, mlp)."""
+    """The forward pass: per-sample scores (svm) or logits (softmax network)."""
     if spec.kind == "svm":
         return X @ params
-    if spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        return X @ W + b
-    W1, b1, W2, b2 = _unpack_mlp(spec, params)
-    return np.maximum(X @ W1 + b1, 0.0) @ W2 + b2
+    *hidden, (W, b) = _layers(spec, params)
+    for Wh, bh in hidden:
+        X = np.maximum(X @ Wh + bh, 0.0)
+    return X @ W + b
 
 
 def _loss_from_scores(spec, params, scores, y) -> float:
@@ -228,31 +214,25 @@ def _backward(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray)
             + np.abs(coeff) * (X * X).sum(axis=1)
         )
         return norms2, lambda s: s.sum() * spec.kappa * params - X.T @ (s * coeff)
-    if spec.kind == "logistic":
-        W, b = _unpack_logistic(spec, params)
-        D = _softmax(X @ W + b)
-        D[np.arange(n), y] -= 1.0
-        norms2 = (D * D).sum(axis=1) * ((X * X).sum(axis=1) + 1.0)
-
-        def grad_sum(s):
-            Ds = D * s[:, None]
-            return np.concatenate([(X.T @ Ds).ravel(), Ds.sum(axis=0)])
-
-        return norms2, grad_sum
-    W1, b1, W2, b2 = _unpack_mlp(spec, params)
-    Z1 = X @ W1 + b1
-    H = np.maximum(Z1, 0.0)
-    D2 = _softmax(H @ W2 + b2)
-    D2[np.arange(n), y] -= 1.0
-    D1 = (D2 @ W2.T) * (Z1 > 0.0)
-    x2, h2 = (X * X).sum(axis=1) + 1.0, (H * H).sum(axis=1) + 1.0
-    norms2 = (D1 * D1).sum(axis=1) * x2 + (D2 * D2).sum(axis=1) * h2
+    layers = _layers(spec, params)
+    inputs, pre = [X], []  # every layer's input; every hidden layer's pre-activation
+    for W, b in layers[:-1]:
+        pre.append(inputs[-1] @ W + b)
+        inputs.append(np.maximum(pre[-1], 0.0))
+    W, b = layers[-1]
+    deltas = [_softmax(inputs[-1] @ W + b)]
+    deltas[0][np.arange(n), y] -= 1.0
+    for (W, _), Z in zip(layers[:0:-1], pre[::-1]):  # back through the hidden layers
+        deltas.insert(0, (deltas[0] @ W.T) * (Z > 0.0))
+    # a layer's per-sample gradient is the outer product of [input, 1] and its delta
+    norms2 = sum((D * D).sum(axis=1) * ((A * A).sum(axis=1) + 1.0) for A, D in zip(inputs, deltas))
 
     def grad_sum(s):
-        D1s, D2s = D1 * s[:, None], D2 * s[:, None]
-        return np.concatenate(
-            [(X.T @ D1s).ravel(), D1s.sum(axis=0), (H.T @ D2s).ravel(), D2s.sum(axis=0)]
-        )
+        parts = []
+        for A, D in zip(inputs, deltas):
+            Ds = D * s[:, None]
+            parts += [(A.T @ Ds).ravel(), Ds.sum(axis=0)]
+        return np.concatenate(parts)
 
     return norms2, grad_sum
 

@@ -37,13 +37,14 @@ from udpfl.accountant import (
     recalibrate_sigma,
     sensitivity,
 )
-from udpfl.federation import add_noise, evaluate, run_training, sample_clients
+from udpfl.federation import add_noise, run_training, sample_clients
 from udpfl.harness import (
     ExperimentConfig,
     build_model_spec,
     build_simulation,
     load_experiment_data,
     run_experiment,
+    run_simulation,
     verify_accountant,
 )
 from udpfl.models import (
@@ -54,7 +55,6 @@ from udpfl.models import (
     per_sample_gradient,
 )
 from udpfl.models import loss as model_loss
-from udpfl.scheduler import CrdConfig, CrdScheduler, linear_decay_baseline
 
 from conftest import requires_mnist
 
@@ -81,13 +81,10 @@ def _ledger_margin(clients, q, eta, clip, n_samples):
 
 def _train_once(env, K, eps, T, seed, crd=False):
     cfg, shards, train_eval, test, spec = env
-    cfg = dataclasses.replace(cfg, K=K, epsilon_p=eps, T_init=T)
+    scheduler = "crd" if crd else "fixed"
+    cfg = dataclasses.replace(cfg, K=K, epsilon_p=eps, T_init=T, scheduler=scheduler)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
-    on_round = None
-    if crd:
-        v0, _ = evaluate(spec, server.global_params, test)
-        on_round = CrdScheduler(CrdConfig(beta=0.9, zeta=0.001, T_init=T), v0)
-    result = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)
+    result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
     return result, clients
 
 
@@ -417,8 +414,9 @@ def test_10_every_run_stays_within_noise_budget(u_shape_runs, discounting_runs):
     completed run, across all three schedulers."""
     # add a linear-decay run so all schedulers are represented
     cfg, shards, train_eval, test, spec = _svm_env(1)
-    server, clients, fcfg = build_simulation(dataclasses.replace(cfg, T_init=60), 1, shards, spec)
-    decay = linear_decay_baseline(server, clients, fcfg, train_eval, test)
+    cfg = dataclasses.replace(cfg, T_init=60, scheduler="decay")
+    server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
+    decay = run_simulation(cfg, server, clients, fcfg, train_eval, test)
     assert decay.realized_T > 0
     LEDGER_AUDIT.append((
         "svm_decay_s1", "decay",

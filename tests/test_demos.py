@@ -1,4 +1,5 @@
-"""The quick demos and the README quickstart run to completion as scripts."""
+"""The quick demos, the README quickstart and the reference-output tool run
+to completion as scripts."""
 
 import os
 import re
@@ -37,3 +38,13 @@ def test_readme_quickstart_runs(tmp_path):
     proc = run_python(["-c", blocks[0]], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_reference_outputs_prints_the_same_hashes_twice(tmp_path):
+    tool = str(ROOT / "tools" / "reference_outputs.py")
+    first, again = (run_python([tool, str(tmp_path / "ref")], tmp_path) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == 33  # rounds.csv and summary.json of 16 seed runs, pilot_norms.csv
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines)
+    assert again.stdout == first.stdout

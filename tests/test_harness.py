@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from udpfl import cli
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
-from udpfl.federation import WEIGHT_MODES, evaluate, run_training
+from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
     ROUNDS_COLUMNS,
     ConfigError,
@@ -28,12 +28,13 @@ from udpfl.harness import (
     pilot_clip,
     rounds_csv_text,
     run_experiment,
+    run_simulation,
     run_single_seed,
     sweep,
     verify_accountant,
 )
 from udpfl.models import HINGE_FORMS
-from udpfl.scheduler import CrdConfig, CrdScheduler
+from udpfl.scheduler import CrdConfig
 
 SVM_BASE = dict(
     model_kind="svm",
@@ -130,6 +131,12 @@ def test_decay_scheduler_needs_finite_epsilon(tmp_path):
         (dict(delta_p=1.0), "delta_p"),
         (dict(clip_C=0.0), "clip_C"),
         (dict(partition_mode="random"), "partition_mode"),
+        (dict(synth_margin=0.0), "synth_margin"),
+        (dict(synth_margin=math.nan), "synth_margin"),
+        (dict(synth_margin=math.inf), "synth_margin"),
+        (dict(synth_dim=0), "synth_dim"),
+        (dict(synth_dim=-3), "synth_dim"),
+        (dict(synth_n_test=0), "synth_n_test"),
     ],
 )
 def test_validation_reports_component_rules_under_config_keys(over, prefix):
@@ -149,6 +156,9 @@ EDGES = dict(
     shard_size=(0, -1),
     labels_per_client=(0, -1),
     size_pattern=((0, 1, 1, 1, 1), (), (-1,), (1,)),
+    synth_dim=(0, -3, 1),
+    synth_margin=(0.0, -1.0, math.nan, math.inf, 1e-300),
+    synth_n_test=(0, 1),
     U=(0, -1, 5),
     K=(0, 7),
     T_init=(0, -1),
@@ -327,7 +337,7 @@ def test_crd_run_emits_nonincreasing_T(tmp_path):
     assert any(r["trigger_fired"] == "1" for r in rows)
 
 
-@pytest.mark.parametrize("scheduler", ["fixed", "crd"])
+@pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
 def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     cfg = svm_cfg(tmp_path, scheduler=scheduler, zeta=0.05, T_init=20, seeds=(1,))
     cfg_path = tmp_path / "cfg.json"
@@ -338,11 +348,7 @@ def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     shards, train_eval, test = load_experiment_data(cfg, 1)
     spec = build_model_spec(cfg, train_eval)
     server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
-    on_round = None
-    if scheduler == "crd":
-        v0, _ = evaluate(spec, server.global_params, test)
-        on_round = CrdScheduler(CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0)
-    result = run_training(server, clients, fcfg, train_eval, test, on_round=on_round)
+    result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
     assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
     cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
     assert rounds_csv_text(1, result.records) == cli_rounds

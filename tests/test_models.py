@@ -114,10 +114,14 @@ SPECS = [
     ModelSpec("svm", input_dim=6, kappa=0.01, hinge="unit_margin"),
     ModelSpec("logistic", input_dim=5, num_classes=4),
     ModelSpec("mlp", input_dim=7, num_classes=3, hidden_dim=4),
+    # the narrowest layers of the softmax network: two classes, one hidden unit
+    ModelSpec("logistic", input_dim=5, num_classes=2),
+    ModelSpec("mlp", input_dim=7, num_classes=2, hidden_dim=1),
 ]
+SPEC_IDS = [f"{s.kind}-{s.hinge}" for s in SPECS[:4]] + ["logistic-2class", "mlp-hidden1"]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_per_sample_gradient_matches_naive_chain_rule(spec):
     rng = np.random.default_rng(11)
     params = rng.normal(scale=0.5, size=param_count(spec))
@@ -128,7 +132,7 @@ def test_per_sample_gradient_matches_naive_chain_rule(spec):
         assert rel_err(got, want) < 1e-12
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_per_sample_gradient_matches_finite_differences(spec):
     rng = np.random.default_rng(21)
     params = rng.normal(scale=0.5, size=param_count(spec))
@@ -145,7 +149,7 @@ def test_per_sample_gradient_matches_finite_differences(spec):
         assert rel_err(got, want) < 1e-6
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_grad_norms_match_materialized_gradients(spec):
     rng = np.random.default_rng(31)
     params = rng.normal(scale=0.5, size=param_count(spec))
@@ -157,7 +161,7 @@ def test_grad_norms_match_materialized_gradients(spec):
     assert rel_err(got, want) < 1e-10
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 @pytest.mark.parametrize("clip", [0.05, 0.5, 5.0, 1e6])
 def test_clipped_sum_matches_naive_loop(spec, clip):
     rng = np.random.default_rng(41)
@@ -168,7 +172,7 @@ def test_clipped_sum_matches_naive_loop(spec, clip):
     assert rel_err(got, want) < 1e-10
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_local_update_is_clipped_gradient_step(spec):
     rng = np.random.default_rng(51)
     params = rng.normal(scale=0.5, size=param_count(spec))
@@ -321,7 +325,7 @@ def test_mlp_training_reduces_loss_on_tiny_problem():
     assert accuracy(spec, params, X, y) > 0.8
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.hinge}")
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_loss_and_accuracy_equals_separate_passes(spec):
     X, y = make_batch(spec, 50, seed=8)
     params = np.random.default_rng(9).normal(size=param_count(spec))
