@@ -12,7 +12,7 @@ Run:  python3 demos/05_decay_baseline_and_pilot.py
 
 import dataclasses
 
-from udpfl.accountant import PrivacyBudget, inverse_variance_budget, sensitivity
+from udpfl.accountant import inverse_variance_budget
 from udpfl.harness import (
     ExperimentConfig,
     build_model_spec,
@@ -55,8 +55,10 @@ print(
     f"nominal horizon 80, ran {result.realized_T} rounds, halt reason: {result.stop_reason}"
 )
 
-B = inverse_variance_budget(PrivacyBudget(6.0, 1e-3), 1.0, sensitivity(0.05, C, 64))
-spent = sum(1.0 / s**2 for s in clients[0].sigma_history)
+# the client's ledger holds its budget, q = K/U, its sensitivity and every sigma charged
+ledger = clients[0].ledger
+B = inverse_variance_budget(ledger.budget, ledger.q, ledger.dl)
+spent = sum(1.0 / s**2 for s in ledger.sigmas)
 print(f"client 0 spent {spent:.4e} of inverse-variance budget {B:.4e} ({spent/B:.1%})")
 print("shrinking sigma spends the budget faster than the flat schedule it was")
 print("calibrated for, so the accountant stops the run early — never over budget.")

@@ -17,8 +17,8 @@ This module provides:
 * noise calibration for a fixed round budget (``calibrate_sigma``) and
   recalibration when the budget shrinks mid-training
   (``recalibrate_sigma``), with an explicit ``BudgetExhausted`` error,
-* a convergence-bound evaluator and a cumulative moment ledger for
-  baselines that spend privacy until a tail bound is hit.
+* a convergence-bound evaluator and ``MomentLedger``, the one per-client
+  privacy record that recalibration and the decay baseline's halt both read.
 
 All functions are pure and safe to call concurrently.
 """
@@ -315,14 +315,6 @@ def implied_moment_order(b: PrivacyBudget, q: float, T: int, dl: float, sigma: f
     return b.epsilon * sigma * sigma / (T * q * dl * dl) - 0.5
 
 
-def ledger_within_budget(
-    hist: Sequence[float], b: PrivacyBudget, q: float, dl: float, slack: float = 1e-9
-) -> bool:
-    """True iff sum of 1/sigma^2 over ``hist`` is within the budget plus slack."""
-    spent = math.fsum(1.0 / (s * s) for s in hist)
-    return spent <= inverse_variance_budget(b, q, dl) + slack
-
-
 def convergence_bound(
     T: int,
     U: int,
@@ -371,36 +363,37 @@ def convergence_bound(
 
 
 class MomentLedger:
-    """Cumulative log-moment ledger for schedules with varying noise.
-
-    Each charged round adds ``q*dl^2/(2 sigma^2)`` to the quadratic
-    coefficient ``S`` of the composed log-moment ``S*lam*(lam+1)``.  The
-    tail bound converts the ledger into the smallest achievable delta at a
-    given epsilon by minimizing ``S*lam*(lam+1) - lam*eps`` over positive
-    integer orders (the objective is quadratic in lam, so only the integer
-    neighbors of its vertex need checking).
+    """One client's privacy record: budget, ``q``, ``dl`` and the noise
+    scale charged for each round, which ``recalibrate_sigma`` reads as the
+    spent history.  The tail bound converts the composed log-moment
+    ``S*lam*(lam+1)``, ``S = sum q*dl^2/(2 sigma^2)``, into the smallest
+    achievable delta at a given epsilon by minimizing ``S*lam*(lam+1) -
+    lam*eps`` over positive integer orders (the objective is quadratic in
+    lam, so only the integer neighbors of its vertex need checking).
     """
 
-    def __init__(self, q: float, dl: float) -> None:
+    def __init__(self, budget: PrivacyBudget, q: float, dl: float) -> None:
         if not 0.0 < q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {q}")
         if dl <= 0.0:
             raise ValueError(f"sensitivity must be > 0, got {dl}")
+        self.budget = budget
         self.q = q
         self.dl = dl
-        self._coeffs: list[float] = []
+        self.sigmas: list[float] = []
 
     def charge(self, sigma: float) -> None:
         if sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
-        self._coeffs.append(self.q * self.dl * self.dl / (2.0 * sigma * sigma))
+        self.sigmas.append(sigma)
 
     @property
     def rounds(self) -> int:
-        return len(self._coeffs)
+        return len(self.sigmas)
 
     def coefficient(self) -> float:
-        return math.fsum(self._coeffs)
+        num = self.q * self.dl * self.dl
+        return math.fsum(num / (2.0 * s * s) for s in self.sigmas)
 
     def log_tail_delta(self, epsilon: float, extra_sigma: float | None = None) -> float:
         """log of the smallest delta certified at ``epsilon``; -inf if unspent.
@@ -419,5 +412,6 @@ class MomentLedger:
         candidates = {1, max(1, math.floor(vertex)), max(1, math.ceil(vertex))}
         return min(S * lam * (lam + 1) - lam * epsilon for lam in candidates)
 
-    def within(self, b: PrivacyBudget, extra_sigma: float | None = None) -> bool:
-        return self.log_tail_delta(b.epsilon, extra_sigma) <= math.log(b.delta)
+    def within(self, extra_sigma: float | None = None) -> bool:
+        """True iff the tail bound certifies the ledger's own budget."""
+        return self.log_tail_delta(self.budget.epsilon, extra_sigma) <= math.log(self.budget.delta)

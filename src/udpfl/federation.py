@@ -1,12 +1,13 @@
 """Federated training loop: sampling, local updates, noise, aggregation.
 
 One round does, in order: sample K of U clients; charge every client's
-privacy ledger for the round at the current round budget T (noise scale
-from ``recalibrate_sigma``, which reduces to the closed-form calibration
-while T is unchanged); selected clients run one full-batch clipped local
-step and add Gaussian noise; the server aggregates the uploads by weight
-and evaluates the new model: the loss alone on the training pool, and the
-loss and accuracy on the test set from one forward pass.
+``MomentLedger`` for the round at the current round budget T (noise scale
+from ``recalibrate_sigma`` over the ledger's history, which reduces to the
+closed-form calibration while T is unchanged); selected clients run one
+full-batch clipped local step and add Gaussian noise; the server aggregates
+the uploads by weight and evaluates the new model: the loss alone on the
+training pool, and the loss and accuracy on the test set from one forward
+pass.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ConfigError
-from .accountant import BudgetExhausted, PrivacyBudget, recalibrate_sigma, sensitivity
+from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
 # accuracy has no caller here; perfbench/layers.py wraps federation.accuracy by name
 from .models import ModelSpec, accuracy, local_update, loss, loss_and_accuracy
 
@@ -37,16 +38,24 @@ WEIGHT_MODES = ("by_size", "equal")
 
 @dataclass
 class ClientState:
-    """One simulated client: data shard, privacy budget, and noise ledger."""
+    """One simulated client: data shard and privacy ledger."""
 
     id: int
     shard: object  # Dataset
-    budget: PrivacyBudget
-    sigma_history: list = field(default_factory=list)
+    ledger: MomentLedger
 
     def __post_init__(self) -> None:
         if len(self.shard) == 0:
             raise ValueError(f"client {self.id}: empty shard")
+
+    @property
+    def budget(self) -> PrivacyBudget:
+        return self.ledger.budget
+
+    @property
+    def sigma_history(self) -> list:
+        """The ledger's own list of charged noise scales (not a copy)."""
+        return self.ledger.sigmas
 
     @property
     def noiseless(self) -> bool:
@@ -152,17 +161,15 @@ def _noise_rng(seed: int, client_id: int, rnd: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _TAG_NOISE, client_id, rnd)))
 
 
-def _round_sigmas(clients: list, q: float, T: int, cfg: FederationConfig) -> dict:
+def _round_sigmas(clients: list, T: int) -> dict:
     """Noise scale for every client this round; raises BudgetExhausted."""
     sigmas = {}
     for c in clients:
         if c.noiseless:
             sigmas[c.id] = 0.0
             continue
-        dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
-        sigmas[c.id] = recalibrate_sigma(
-            c.budget, q, T, len(c.sigma_history), c.sigma_history, dl
-        )
+        led = c.ledger
+        sigmas[c.id] = recalibrate_sigma(led.budget, led.q, T, led.rounds, led.sigmas, led.dl)
     return sigmas
 
 
@@ -177,21 +184,21 @@ def run_round(
     """Execute one round; mutates server and client ledgers only on success.
 
     ``sigma_override`` (client id -> noise scale) bypasses the budget
-    recalibration — used by externally-scheduled baselines whose privacy
-    is tracked by a separate accountant.
+    recalibration — used by externally-scheduled baselines, which check
+    the same ledgers with their own halting rule before each round.
     """
     if server.t >= server.T:
         raise ValueError(f"round budget exhausted: t={server.t}, T={server.T}")
-    U = len(clients)
     rnd = server.t
-    q = cfg.K / U
 
     # all failure modes (BudgetExhausted, eval errors) fire before mutation
     if sigma_override is None:
-        sigmas = _round_sigmas(clients, q, server.T, cfg)
+        sigmas = _round_sigmas(clients, server.T)
     else:
         sigmas = {c.id: float(sigma_override[c.id]) for c in clients}
-    selected = sample_clients(U, cfg.K, _selection_rng(cfg.seed, rnd))
+        if any(sigmas[c.id] <= 0.0 for c in clients if not c.noiseless):
+            raise ValueError("sigma_override must be > 0 for every noisy client")
+    selected = sample_clients(len(clients), cfg.K, _selection_rng(cfg.seed, rnd))
 
     uploads = []
     if cfg.weight_mode == "by_size":
@@ -225,7 +232,7 @@ def run_round(
     )
     for c in clients:
         if not c.noiseless:
-            c.sigma_history.append(sigmas[c.id])
+            c.ledger.charge(sigmas[c.id])
     server.global_params = new_params
     server.t = rnd + 1
     server.records.append(record)

@@ -35,6 +35,7 @@ from .accountant import (
     D_BASE_MIX,
     D_MIX_BASE,
     MechanismParams,
+    MomentLedger,
     PrivacyBudget,
     QuadratureError,
     calibrate_sigma,
@@ -366,14 +367,18 @@ def rounds_csv_text(seed: int, records) -> str:
 def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
     """Wire one run of a resolved config over already-loaded client shards.
 
-    Returns ``(server, clients, federation config)``: every client holds the
-    budget ``(epsilon_p, delta_p)`` and the server starts at round budget
+    Returns ``(server, clients, federation config)``: every client holds a
+    ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``, ``q = K/U``
+    and the sensitivity of its shard, and the server starts at round budget
     ``T_init`` from parameters drawn from the seed's initialization stream.
     Raises ``ConfigError`` if a convex model's ``eta`` exceeds 1/L of the shards.
     """
     _check_eta_against_smoothness(cfg, spec, shards)
-    budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
-    clients = [ClientState(i, shard, budget) for i, shard in enumerate(shards)]
+    budget, q = PrivacyBudget(cfg.epsilon_p, cfg.delta_p), cfg.K / len(shards)
+    clients = [
+        ClientState(i, shard, MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, len(shard))))
+        for i, shard in enumerate(shards)
+    ]
     fcfg = FederationConfig(
         spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
         weight_mode=cfg.weight_mode,
@@ -671,6 +676,8 @@ def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, 
     client's unclipped per-sample gradient norms at the parameters each
     round begins with.  Returns (recommended C, norms file path).
     """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     cfg = cfg.check()
     seed = seed if seed is not None else cfg.seeds[0]
     outdir = Path(outdir if outdir is not None else cfg.output_dir)

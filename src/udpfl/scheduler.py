@@ -7,8 +7,8 @@
   beta — ``T <- floor(beta*(T - t)) + t`` — and let the noise
   recalibration absorb the change;
 * linear noise decay: a fixed starting noise scale shrinking linearly
-  each round, halted by a cumulative moment accountant instead of a
-  preset round count.
+  each round, halted by the moment-tail bound of each client's own
+  ``MomentLedger`` instead of a preset round count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import ConfigError
-from .accountant import MomentLedger, calibrate_sigma, sensitivity
+from .accountant import calibrate_sigma
 # evaluate has no caller here; perfbench/layers.py wraps scheduler.evaluate by name
 from .federation import FederationConfig, ServerState, TrainingResult, evaluate, run_round
 
@@ -103,20 +103,16 @@ def linear_decay_baseline(
 
     Round r uses ``sigma_start - slope*r`` per client, with
     ``slope = slope_fraction * sigma_start / T``; ``slope_fraction=0``
-    keeps sigma fixed.  Before each round the per-client moment ledgers
-    preview the charge and halt as soon as any client's tail bound would
-    exceed its delta at its epsilon — so at halt the spent privacy is
-    within budget and one more round would not be.
+    keeps sigma fixed.  Before each round every client's ledger previews
+    the charge ``run_round`` makes, and the run halts as soon as any
+    client's tail bound would exceed its delta at its epsilon — so at halt
+    the spent privacy is within budget and one more round would not be.
     """
     if not slope_fraction >= 0.0:
         raise ValueError(f"slope_fraction must be >= 0, got {slope_fraction}")
-    U = len(clients)
-    q = cfg.K / U
-    sigma_start, ledgers = {}, {}
-    for c in clients:
-        dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
-        sigma_start[c.id] = calibrate_sigma(c.budget, q, server.T, dl)
-        ledgers[c.id] = MomentLedger(q, dl)
+    sigma_start = {
+        c.id: calibrate_sigma(c.budget, c.ledger.q, server.T, c.ledger.dl) for c in clients
+    }
     slopes = {i: slope_fraction * s / server.T for i, s in sigma_start.items()}
 
     halt = "completed"
@@ -126,13 +122,8 @@ def linear_decay_baseline(
         if any(s <= 0.0 for s in sig.values()):
             halt = "sigma_floor"
             break
-        if any(
-            not ledgers[c.id].within(c.budget, extra_sigma=sig[c.id])
-            for c in clients
-        ):
+        if any(not c.ledger.within(extra_sigma=sig[c.id]) for c in clients):
             halt = "accountant_halt"
             break
         run_round(server, clients, cfg, train_eval, test_eval, sigma_override=sig)
-        for c in clients:
-            ledgers[c.id].charge(sig[c.id])
     return TrainingResult(server.global_params, server.records, server.t, halt)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_within_inverse_variance_budget
 from udpfl import accountant as acc
 
 # 50-digit reference values.
@@ -302,9 +303,7 @@ def test_ledger_stays_inside_budget_at_exact_saturation():
         hist = []
         for t in range(T):
             hist.append(acc.recalibrate_sigma(b, q, T, t, hist, dl))
-        assert acc.ledger_within_budget(hist, b, q, dl)
-        spent = math.fsum(1.0 / s**2 for s in hist)
-        assert spent <= acc.inverse_variance_budget(b, q, dl) + 1e-9
+        assert_within_inverse_variance_budget(hist, b, q, dl)
 
 
 def test_implied_moment_order_diagnostic():
@@ -361,13 +360,13 @@ def test_convergence_bound_interior_minimum_in_T_for_tight_budget():
 
 
 def test_moment_ledger_accumulates_and_bounds():
-    led = acc.MomentLedger(q=1.0, dl=0.001)
     b = acc.PrivacyBudget(2.0, 0.001)
+    led = acc.MomentLedger(b, q=1.0, dl=0.001)
     assert led.log_tail_delta(2.0) == -math.inf
-    assert led.within(b)
+    assert led.within()
     sigma = 0.002
     deltas = []
-    while led.within(b) and led.rounds < 10000:
+    while led.within() and led.rounds < 10000:
         led.charge(sigma)
         deltas.append(led.log_tail_delta(b.epsilon))
     # Certified delta degrades monotonically as rounds accumulate, and the
@@ -377,8 +376,20 @@ def test_moment_ledger_accumulates_and_bounds():
     assert led.log_tail_delta(b.epsilon) > math.log(b.delta)
 
 
+def test_moment_ledger_coefficient_is_fsum_of_per_round_terms():
+    # the coefficient is recomputed from the charged sigmas; it must equal,
+    # bit for bit, the fsum of the per-round terms q*dl^2/(2 sigma^2)
+    q, dl = 0.6, 0.00125
+    led = acc.MomentLedger(acc.PrivacyBudget(8.0, 0.001), q, dl)
+    sigmas = [0.0063 - 0.00002 * r for r in range(150)]
+    for s in sigmas:
+        led.charge(s)
+    assert led.sigmas == sigmas and led.rounds == 150
+    assert led.coefficient() == math.fsum(q * dl * dl / (2.0 * s * s) for s in sigmas)
+
+
 def test_moment_ledger_single_round_tail():
-    led = acc.MomentLedger(q=0.5, dl=0.01)
+    led = acc.MomentLedger(acc.PrivacyBudget(3.0, 0.001), q=0.5, dl=0.01)
     led.charge(0.05)
     S = 0.5 * 0.01**2 / (2 * 0.05**2)
     expected = min(S * lam * (lam + 1) - lam * 3.0 for lam in range(1, 2000))
@@ -386,8 +397,14 @@ def test_moment_ledger_single_round_tail():
 
 
 def test_moment_ledger_rejects_bad_inputs():
+    b = acc.PrivacyBudget(3.0, 0.001)
     with pytest.raises(ValueError):
-        acc.MomentLedger(q=0.0, dl=0.01)
-    led = acc.MomentLedger(q=0.5, dl=0.01)
+        acc.MomentLedger(b, q=0.0, dl=0.01)
+    with pytest.raises(ValueError):
+        acc.MomentLedger(b, q=0.5, dl=0.0)
+    led = acc.MomentLedger(b, q=0.5, dl=0.01)
     with pytest.raises(ValueError):
         led.charge(0.0)
+    with pytest.raises(ValueError):
+        led.within(extra_sigma=-1.0)
+    assert led.sigmas == []  # a rejected charge records nothing

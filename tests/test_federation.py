@@ -8,12 +8,13 @@ federation machinery).
 import numpy as np
 import pytest
 
+from conftest import assert_within_inverse_variance_budget
 from udpfl import models
 from udpfl.accountant import (
     BudgetExhausted,
+    MomentLedger,
     PrivacyBudget,
     calibrate_sigma,
-    ledger_within_budget,
     sensitivity,
 )
 from udpfl.data import Dataset, PartitionPlan, partition, synth_linear
@@ -63,11 +64,17 @@ def make_federation(
     test = ds.subset(np.arange(start, n))
     train_eval = ds.subset(np.arange(0, start))
     budget = PrivacyBudget(epsilon, delta)
-    clients = [ClientState(i, shards[i], budget) for i in range(n_clients)]
     cfg = FederationConfig(
         spec=spec, K=K or n_clients, eta=eta, clip=clip, seed=seed,
         weight_mode=weight_mode,
     )
+    clients = [
+        ClientState(
+            i, shards[i],
+            MomentLedger(budget, cfg.K / n_clients, sensitivity(eta, clip, len(shards[i]))),
+        )
+        for i in range(n_clients)
+    ]
     server = ServerState(global_params=np.zeros(param_count(spec)), T=T)
     return spec, clients, cfg, server, train_eval, test
 
@@ -262,7 +269,7 @@ def test_ledger_soundness_after_noisy_run():
     q = 2 / 5
     for c in clients:
         dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
-        assert ledger_within_budget(c.sigma_history, c.budget, q, dl)
+        assert_within_inverse_variance_budget(c.sigma_history, c.budget, q, dl)
 
 
 def test_deterministic_replay_bitwise():
@@ -298,6 +305,19 @@ def test_budget_exhausted_leaves_state_intact():
     result = run_training(server, clients, cfg, train_eval, test)
     assert result.stop_reason == "budget_exhausted"
     assert result.realized_T == 0
+
+
+def test_nonpositive_sigma_override_rejected_before_any_charge():
+    spec, clients, cfg, server, train_eval, test = make_federation(
+        epsilon=4.0, K=3, T=8
+    )
+    with pytest.raises(ValueError, match="sigma_override"):
+        run_round(
+            server, clients, cfg, train_eval, test,
+            sigma_override={c.id: 0.0 if c.id == 3 else 0.5 for c in clients},
+        )
+    assert server.t == 0 and len(server.records) == 0
+    assert all(c.sigma_history == [] for c in clients)
 
 
 def test_on_round_may_shrink_T_but_not_grow_it():
@@ -344,13 +364,16 @@ def test_sigma_rises_after_T_shrink():
     assert h[10] < h[0]  # fewer remaining rounds -> smaller sigma
 
     q, dl = 3 / 5, sensitivity(cfg.eta, cfg.clip, 10)
-    assert ledger_within_budget(h, clients[0].budget, q, dl)
+    assert_within_inverse_variance_budget(h, clients[0].budget, q, dl)
 
 
 def test_empty_shard_rejected():
     ds = synth_linear(10, 3, 1.0, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        ClientState(0, ds.subset(np.array([], dtype=int)), PrivacyBudget(1.0, 0.01))
+        ClientState(
+            0, ds.subset(np.array([], dtype=int)),
+            MomentLedger(PrivacyBudget(1.0, 0.01), 1.0, sensitivity(0.05, 0.5, 1)),
+        )
 
 
 def test_mixed_sensitivities_get_distinct_sigmas():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udpfl import cli
+from udpfl import cli, harness
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
@@ -502,6 +502,16 @@ def test_pilot_clip_constant_norms_on_degenerate_data(tmp_path):
     # zero features + zero-init logistic: every norm is ||p - e_y|| = sqrt(1/2)
     assert all(n == logged[0] for n in logged)
     assert c_value == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("rounds", [0, -2])
+def test_pilot_clip_rejects_rounds_below_one_before_loading_data(tmp_path, monkeypatch, rounds):
+    def load(*args):
+        raise AssertionError("data was loaded")
+
+    monkeypatch.setattr(harness, "load_experiment_data", load)
+    with pytest.raises(ValueError, match=f"rounds must be >= 1, got {rounds}"):
+        pilot_clip(svm_cfg(tmp_path), rounds=rounds)
 
 
 # --- cli ---

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_within_inverse_variance_budget
 from test_federation import make_federation
 from udpfl import ConfigError
-from udpfl.accountant import MomentLedger, ledger_within_budget, sensitivity
+from udpfl.accountant import sensitivity
 from udpfl.federation import TrainingResult, run_training
 from udpfl.scheduler import (
     CrdConfig,
@@ -89,7 +90,7 @@ def test_crd_scheduler_on_live_run_yields_staircase():
     # ledger still sound after shrinking T
     dl = sensitivity(cfg.eta, cfg.clip, 10)
     for c in clients:
-        assert ledger_within_budget(c.sigma_history, c.budget, 3 / 5, dl)
+        assert_within_inverse_variance_budget(c.sigma_history, c.budget, 3 / 5, dl)
 
 
 def test_config_validation():
@@ -127,14 +128,11 @@ def test_decay_zero_slope_halts_at_accountant_bound():
     for c in clients:
         assert len(c.sigma_history) == result.realized_T
         assert all(s == c.sigma_history[0] for s in c.sigma_history)
-    # replay the ledger: spent rounds certify delta, one more would not
-    c = clients[0]
-    dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
-    ledger = MomentLedger(3 / 5, dl)
-    for s in c.sigma_history:
-        ledger.charge(s)
-        assert ledger.within(c.budget)
-    assert not ledger.within(c.budget, extra_sigma=c.sigma_history[0])
+    # each client's own ledger: the spent rounds certify delta, one more would not
+    for c in clients:
+        assert c.ledger.sigmas is c.sigma_history
+        assert c.ledger.within()
+        assert not c.ledger.within(extra_sigma=c.sigma_history[-1])
 
 
 def test_decay_faster_slope_halts_earlier():
@@ -162,7 +160,7 @@ def test_decay_records_and_inverse_variance_margin():
     # the moment-accountant halt is tighter than the inverse-variance budget
     for c in clients:
         dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
-        assert ledger_within_budget(c.sigma_history, c.budget, 3 / 5, dl)
+        assert_within_inverse_variance_budget(c.sigma_history, c.budget, 3 / 5, dl)
 
 
 def test_decay_validates_slope():
