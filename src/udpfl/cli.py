@@ -236,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # ConfigError, IdxParseError, missing files
+        print(f"udpfl: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

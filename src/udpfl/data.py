@@ -78,7 +78,7 @@ class Dataset:
             raise ValueError(f"labels shape {l.shape} != ({len(f)},)")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        signed = np.all(np.isin(l, (-1, 1)))
+        signed = (np.abs(l) == 1).all()
         if not signed and (l.min() < 0 or l.max() >= self.num_classes):
             raise ValueError("labels out of range")
 
@@ -89,7 +89,7 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
+    def subset(self, indices: np.ndarray | slice) -> "Dataset":
         return Dataset(
             self.features[indices],
             self.labels[indices],
@@ -225,7 +225,7 @@ def load_csv_dataset(path) -> Dataset:
     labels = raw.astype(np.int64)
     if not np.all(labels == raw):
         raise ValueError(f"{path}: label column must be integral")
-    if np.all(np.isin(labels, (-1, 1))):
+    if (np.abs(labels) == 1).all():
         return Dataset(feats, labels, num_classes=2, provenance="csv")
     return Dataset(feats, labels, num_classes=int(labels.max()) + 1, provenance="csv")
 

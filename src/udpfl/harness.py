@@ -13,7 +13,8 @@ selected_clients, trigger_fired`` and a ``summary.json`` whose entries are
 all derivable from the CSV, plus one ``manifest.json`` per run recording
 the fully resolved config and its content hash.  Output files are written
 atomically and runs are bit-reproducible for a given (config, seed) no
-matter how many worker processes execute the seeds.
+matter how many worker processes execute the seeds, which share one
+read-only data pool per process (``load_experiment_data`` gives its key).
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ from .accountant import (
     sensitivity,
 )
 from .data import (
+    MNIST_FILES,
     Dataset,
     PartitionPlan,
     load_csv_dataset,
     load_mnist,
+    mnist_dir,
     partition,
     synth_linear,
 )
@@ -277,28 +280,60 @@ def _derived_seed(seed: int, tag: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, tag))
 
 
-def load_experiment_data(cfg: ExperimentConfig, seed: int):
-    """Build (shards, train_eval, test_eval) for one seed.
+_pool: dict = {}  # this process's data pool, at most one: {pool key: (train, test)}
 
-    The shard layout is drawn per seed; for synthetic sources the
-    underlying sample pool depends only on ``data_seed`` so every seed
-    trains on reshuffles of the same world.
-    """
-    if cfg.data_source == "mnist":
-        train, test = load_mnist(cfg.mnist_dir)
-    elif cfg.data_source == "synthetic":
+
+def _file_key(path) -> tuple:
+    p = Path(path).resolve()
+    st = p.stat() if p.exists() else None  # a missing file is left to its loader
+    return (str(p),) + ((st.st_size, st.st_mtime_ns, st.st_ino) if st else ())
+
+
+def _read_only(ds: Dataset) -> Dataset:
+    ds.features.flags.writeable = False
+    ds.labels.flags.writeable = False
+    return ds
+
+
+def _data_pool(cfg: ExperimentConfig) -> tuple:
+    """The seed-independent (train, test) pool, built once per key per process."""
+    if cfg.data_source == "synthetic":
         if cfg.partition_mode == "unbalanced":
             n_train = sum(cfg.size_pattern) * (cfg.U // len(cfg.size_pattern))
         else:
             n_train = cfg.U * cfg.shard_size
-        full = synth_linear(
-            n_train + cfg.synth_n_test, cfg.synth_dim, cfg.synth_margin, cfg.data_seed
-        )
-        train = full.subset(np.arange(n_train))
-        test = full.subset(np.arange(n_train, len(full)))
+        synth_args = (cfg.synth_dim, cfg.synth_margin, cfg.data_seed)
+        key = (n_train, cfg.synth_n_test) + synth_args
+    elif cfg.data_source == "mnist":
+        key = tuple(_file_key(mnist_dir(cfg.mnist_dir) / name) for name in MNIST_FILES)
     else:
-        train = load_csv_dataset(cfg.csv_train)
-        test = load_csv_dataset(cfg.csv_test) if cfg.csv_test else train
+        key = (_file_key(cfg.csv_train), cfg.csv_test and _file_key(cfg.csv_test))
+    key = (cfg.data_source, key)
+    if key not in _pool:
+        _pool.clear()  # drop the old pool before the next one is built
+        if cfg.data_source == "synthetic":
+            full = synth_linear(n_train + cfg.synth_n_test, *synth_args)
+            pool = full.subset(slice(n_train)), full.subset(slice(n_train, None))
+        elif cfg.data_source == "mnist":
+            pool = load_mnist(cfg.mnist_dir)
+        else:
+            train = load_csv_dataset(cfg.csv_train)
+            pool = train, load_csv_dataset(cfg.csv_test) if cfg.csv_test else train
+        _pool[key] = tuple(_read_only(ds) for ds in pool)
+    return _pool[key]
+
+
+def load_experiment_data(cfg: ExperimentConfig, seed: int):
+    """Build (shards, train_eval, test_eval) for one seed.
+
+    One read-only (train, test) pool is kept per process, keyed by every input
+    that shapes it: the synthetic training size, ``synth_n_test``, ``synth_dim``,
+    ``synth_margin`` and ``data_seed``, or each file's resolved path, size, inode
+    and mtime (as with CPython's .pyc check, a rewrite that keeps all three is
+    not reloaded).  Per seed, ``train_eval`` gathers the shard rows once,
+    read-only, and each shard is a row-range view of it.
+    """
+    train, test = _data_pool(cfg)
     plan = PartitionPlan(
         cfg.partition_mode,
         shard_size=cfg.shard_size,
@@ -307,8 +342,9 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     )
     part_seed = _derived_seed(seed, _TAG_PARTITION)
     shard_idx = partition(train, plan, cfg.U, part_seed)
-    shards = [train.subset(idx) for idx in shard_idx]
-    train_eval = train.subset(np.concatenate(shard_idx))
+    train_eval = _read_only(train.subset(np.concatenate(shard_idx)))
+    ends = np.cumsum([len(idx) for idx in shard_idx])
+    shards = [train_eval.subset(slice(e - len(idx), e)) for idx, e in zip(shard_idx, ends)]
     return shards, train_eval, test
 
 

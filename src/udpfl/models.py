@@ -130,7 +130,7 @@ def _check_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarr
             f"params must have length {param_count(spec)}, got {params.shape}"
         )
     if spec.kind == "svm":
-        if not np.all(np.isin(y, (-1, 1))):
+        if not (np.abs(y) == 1).all():
             raise ValueError("svm labels must be +1/-1")
     else:
         if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= spec.num_classes:

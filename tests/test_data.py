@@ -16,7 +16,7 @@ from udpfl.data import (
     partition,
     synth_linear,
 )
-from udpfl.models import ModelSpec, accuracy, local_update
+from udpfl.models import ModelSpec, accuracy, local_update, loss
 
 
 def make_idx_fixture(tmp_path):
@@ -88,6 +88,36 @@ def test_csv_loader(tmp_path):
     p3.write_text("a,y\n1.0,0.5\n")
     with pytest.raises(ValueError, match="integral"):
         load_csv_dataset(p3)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        np.array([1, -1, 1]),
+        np.array([1.0, -1.0]),
+        np.array([True, True]),
+        np.array([True, False]),
+        np.array([1, 0]),
+        np.array([2, -1]),
+        np.array([-2, 1]),
+        np.array([1.0, np.nan]),
+        np.array([], dtype=np.int64),
+    ],
+    ids=["int", "float", "bool_true", "bool_mixed", "zero", "two", "minus_two", "nan", "empty"],
+)
+def test_signed_label_check_matches_isin(y):
+    signed = bool(np.all(np.isin(y, (-1, 1))))
+    assert bool((np.abs(y) == 1).all()) == signed
+    if len(y) == 0:
+        return
+    spec = ModelSpec("svm", 1, kappa=0.01)
+    X = np.ones((len(y), 1))
+    if signed:
+        loss(spec, np.zeros(1), X, y)
+        assert Dataset(X, y, num_classes=2).num_classes == 2
+    else:
+        with pytest.raises(ValueError, match="svm labels must be"):
+            loss(spec, np.zeros(1), X, y)
 
 
 def test_synth_linear_balance_and_determinism():

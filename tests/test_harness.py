@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from udpfl import cli, harness
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
+from udpfl.data import PartitionPlan, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
     ROUNDS_COLUMNS,
@@ -514,6 +515,98 @@ def test_pilot_clip_rejects_rounds_below_one_before_loading_data(tmp_path, monke
         pilot_clip(svm_cfg(tmp_path), rounds=rounds)
 
 
+# --- data pool ---
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty process-level pool slot, restored after the test."""
+    monkeypatch.setattr(harness, "_pool", {})
+
+
+def write_labelled_csv(path, n, shift=0.0):
+    rows = [f"{i + shift},{(-1) ** i}" for i in range(n)]
+    path.write_text("\n".join(["x,label", *rows, ""]))
+
+
+def test_data_pool_built_once_per_data_seed(tmp_path, monkeypatch, fresh_pool):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return synth_linear(*args)
+
+    monkeypatch.setattr(harness, "synth_linear", counting)
+    cfg = svm_cfg(tmp_path).resolved()
+    first = load_experiment_data(cfg, 1)
+    second = load_experiment_data(cfg, 2)
+    assert len(calls) == 1
+    assert second[2] is first[2]  # the test split is the pooled one
+    load_experiment_data(dataclasses.replace(cfg, data_seed=cfg.data_seed + 1), 1)
+    assert len(calls) == 2 and len(harness._pool) == 1
+
+
+def test_csv_rewritten_at_same_path_is_reloaded(tmp_path, fresh_pool):
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, 40)
+    cfg = svm_cfg(tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10).resolved()
+    _, _, before = load_experiment_data(cfg, 1)
+    write_labelled_csv(path, 60, shift=0.5)
+    _, _, after = load_experiment_data(cfg, 1)
+    assert len(before) == 40 and len(after) == 60
+    assert after.features[0, 0] == 0.5
+
+
+def test_data_pool_and_shards_are_read_only(tmp_path, fresh_pool):
+    cfg = svm_cfg(tmp_path).resolved()
+    shards, train_eval, test_eval = load_experiment_data(cfg, 1)
+    pool_train, pool_test = harness._data_pool(cfg)
+    datasets = [pool_train, pool_test, train_eval, test_eval, *shards]
+    for arr in [a for ds in datasets for a in (ds.features, ds.labels)]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{}, dict(partition_mode="unbalanced", shard_size=None, size_pattern=(10, 20, 30), U=6)],
+    ids=["iid", "unbalanced"],
+)
+def test_shards_are_views_equal_to_per_shard_gathers(tmp_path, fresh_pool, over):
+    cfg = svm_cfg(tmp_path, **over).resolved()
+    shards, train_eval, test_eval = load_experiment_data(cfg, 3)
+    # the layout that gathered each shard on its own from a copied pool
+    n_train = len(train_eval)
+    full = synth_linear(n_train + cfg.synth_n_test, cfg.synth_dim, cfg.synth_margin, cfg.data_seed)
+    train = full.subset(np.arange(n_train))
+    plan = PartitionPlan(cfg.partition_mode, cfg.shard_size, size_pattern=cfg.size_pattern)
+    idx = partition(train, plan, cfg.U, np.random.SeedSequence((3, harness._TAG_PARTITION)))
+    assert len(shards) == len(idx) == cfg.U
+    for shard, rows in zip(shards, idx):
+        want = train.subset(rows)
+        assert np.shares_memory(shard.features, train_eval.features)
+        assert np.shares_memory(shard.labels, train_eval.labels)
+        assert shard.features.tobytes() == want.features.tobytes()
+        assert shard.labels.tobytes() == want.labels.tobytes()
+    want_eval = train.subset(np.concatenate(idx))
+    assert train_eval.features.tobytes() == want_eval.features.tobytes()
+    assert test_eval.features.tobytes() == full.features[n_train:].tobytes()
+
+
+def test_missing_data_file_is_not_cached(tmp_path, fresh_pool):
+    mnist = svm_cfg(tmp_path, data_source="mnist", mnist_dir=str(tmp_path / "none")).resolved()
+    with pytest.raises(FileNotFoundError, match="MNIST files missing"):
+        load_experiment_data(mnist, 1)
+    path = tmp_path / "train.csv"
+    cfg = svm_cfg(tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10).resolved()
+    with pytest.raises(FileNotFoundError):
+        load_experiment_data(cfg, 1)
+    assert harness._pool == {}
+    write_labelled_csv(path, 40)
+    _, train_eval, _ = load_experiment_data(cfg, 1)
+    assert len(train_eval) == 40
+
+
 # --- cli ---
 
 
@@ -548,3 +641,19 @@ def test_cli_override_precedence(tmp_path, capsys):
     _, rows = read_rounds(tmp_path / "ovr" / "seed_3" / "rounds.csv")
     assert len(rows) == 4
     assert rows[0]["T_current"] == "4"
+
+
+def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(svm_cfg(tmp_path, K=9, U=4).to_dict()))
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("udpfl: error: ") and "need K <= U" in err
+    assert "Traceback" not in err
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(svm_cfg(tmp_path).to_dict()))
+    assert cli.main(["pilot-clip", "--config", str(good), "--rounds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "udpfl: error: rounds must be >= 1, got 0" in err
+    assert "Traceback" not in err
