@@ -51,7 +51,7 @@ def final_loss(env, eps, T, seed):
     shards, train_eval, test, spec = env
     cfg = dataclasses.replace(CFG, epsilon_p=eps, T_init=T)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
-    res = run_training(server, clients, fcfg, train_eval, test)
+    res = run_training(server, clients, fcfg, test)
     return res.records[-1].test_loss
 
 

@@ -60,7 +60,7 @@ def run(scheduler):
     run_cfg = dataclasses.replace(cfg, scheduler=scheduler)
     server, clients, fcfg = build_simulation(run_cfg, SEED, shards, spec)
     t0 = time.time()
-    res = run_simulation(run_cfg, server, clients, fcfg, train_eval, test)
+    res = run_simulation(run_cfg, server, clients, fcfg, test)
     return res, time.time() - t0
 
 

@@ -49,7 +49,7 @@ spec = build_model_spec(cfg, train_eval)
 cfg = dataclasses.replace(cfg, clip_C=C)
 server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
 
-result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
+result = run_simulation(cfg, server, clients, fcfg, test)
 print(
     f"\ndecay baseline: sigma_start={result.records[0].sigma_by_client[0]:.4e}, "
     f"nominal horizon 80, ran {result.realized_T} rounds, halt reason: {result.stop_reason}"

@@ -3,11 +3,15 @@
 One round does, in order: sample K of U clients; charge every client's
 ``MomentLedger`` for the round at the current round budget T (noise scale
 from ``recalibrate_sigma`` over the ledger's history, which reduces to the
-closed-form calibration while T is unchanged); selected clients run one
-full-batch clipped local step and add Gaussian noise; the server aggregates
-the uploads by weight and evaluates the new model: the loss alone on the
-training pool, and the loss and accuracy on the test set from one forward
-pass.
+closed-form calibration while T is unchanged); every selected client takes
+one full-batch clipped step from the global parameters and adds Gaussian
+noise; the server aggregates the uploads by weight and evaluates the new
+model on the clients' rows (loss) and on the test set (loss and accuracy).
+
+Per run, the server stacks the clients' rows in client order (``clients[i].id``
+must be i) and checks their labels once.  A round's train-loss forward pass is
+the one the next round's local steps start from, and one backward pass over it
+serves every selected client.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -28,8 +32,9 @@ import numpy as np
 
 from . import ConfigError
 from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
-# accuracy has no caller here; perfbench/layers.py wraps federation.accuracy by name
-from .models import ModelSpec, accuracy, local_update, loss, loss_and_accuracy
+from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward, _forward_buffers
+# accuracy, local_update and loss have no caller here; perfbench/layers.py wraps them by name
+from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_accuracy
 
 _TAG_SELECT = 1
 _TAG_NOISE = 2
@@ -68,6 +73,7 @@ class ServerState:
     T: int
     t: int = 0
     records: list = field(default_factory=list)
+    _stacked: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.t <= self.T):
@@ -173,25 +179,64 @@ def _round_sigmas(clients: list, T: int) -> dict:
     return sigmas
 
 
+def _row_stack(arrays: tuple) -> np.ndarray:
+    """The arrays' rows stacked; a view if they are consecutive row ranges of one buffer."""
+    first, at = arrays[0], arrays[0].ctypes.data
+    for a in arrays:
+        if not (a.base is first.base is not None and a.flags.c_contiguous and a.ctypes.data == at):
+            return np.concatenate(arrays)
+        at += a.nbytes
+    shape = (sum(map(len, arrays)), *first.shape[1:])
+    return np.lib.stride_tricks.as_strided(first, shape, writeable=False)
+
+
+class _Stacked:
+    """Per-run state of ``run_round``: the clients' rows stacked in client order,
+    and buffers holding one forward pass over them at ``self.params``."""
+
+    def __init__(self, spec: ModelSpec, params: np.ndarray, clients: list):
+        if [c.id for c in clients] != list(range(len(clients) or 1)):
+            raise ValueError("client ids must be their positions 0..U-1, with U >= 1")
+        self.spec, self.shards, self.params = spec, [c.shard for c in clients], None
+        self.X, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
+        ends = np.cumsum([len(x) for x in self.X])
+        self.rows = [slice(e - len(x), e) for x, e in zip(self.X, ends)]
+        self.y, self.sq_norms = np.concatenate(ys), np.concatenate([(x * x).sum(1) for x in self.X])
+        self.fwd = _forward_buffers(spec, _row_stack(self.X))
+
+    def fill(self, params: np.ndarray) -> None:
+        """Forward every client's rows at ``params``, each into its row range."""
+        self.params, (inputs, pre, scores) = None, self.fwd
+        for x, r in zip(self.X, self.rows):
+            _forward(self.spec, params, x, ([A[r] for A in inputs], [Z[r] for Z in pre], scores[r]))
+        self.params = params.copy()
+
+
 def run_round(
     server: ServerState,
     clients: list,
     cfg: FederationConfig,
-    train_eval,
     test_eval,
     sigma_override: dict | None = None,
 ) -> RoundRecord:
     """Execute one round; mutates server and client ledgers only on success.
 
-    ``sigma_override`` (client id -> noise scale) bypasses the budget
-    recalibration — used by externally-scheduled baselines, which check
-    the same ledgers with their own halting rule before each round.
+    ``clients[i].id`` must be i.  The train loss is over the clients' rows, and
+    its forward pass feeds the next round's local steps.  ``sigma_override``
+    (client id -> noise scale) bypasses the budget recalibration — used by
+    externally-scheduled baselines, which check the same ledgers with their
+    own halting rule before each round.
     """
     if server.t >= server.T:
         raise ValueError(f"round budget exhausted: t={server.t}, T={server.T}")
-    rnd = server.t
+    rnd, spec, params = server.t, cfg.spec, server.global_params
 
-    # all failure modes (BudgetExhausted, eval errors) fire before mutation
+    # all failure modes (invalid shards, BudgetExhausted, eval errors) fire before mutation
+    st = server._stacked
+    if st is None or st.spec != spec or list(map(id, st.shards)) != [id(c.shard) for c in clients]:
+        st = server._stacked = _Stacked(spec, params, clients)
+    if not np.array_equal(st.params, params):  # filled at other parameters
+        st.fill(params)
     if sigma_override is None:
         sigmas = _round_sigmas(clients, server.T)
     else:
@@ -206,18 +251,18 @@ def run_round(
         weights = {i: len(clients[i].shard) / total for i in selected}
     else:
         weights = {i: 1.0 / cfg.K for i in selected}
+    norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
+    factors = _clip_factors(norms2, cfg.clip)
     for i in selected:  # already sorted by client id
-        c = clients[i]
-        local = local_update(
-            cfg.spec, server.global_params, c.shard.features, c.shard.labels,
-            cfg.eta, cfg.clip,
-        )
+        # one full-batch clipped step from the global parameters (models.local_update)
+        local = params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
         noised = add_noise(local, sigmas[i], _noise_rng(cfg.seed, i, rnd))
         uploads.append((weights[i], noised))
 
     new_params = aggregate(uploads)
-    train_loss = loss(cfg.spec, new_params, train_eval.features, train_eval.labels)
-    test_loss, test_acc = evaluate(cfg.spec, new_params, test_eval)
+    st.fill(new_params)
+    train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)
+    test_loss, test_acc = evaluate(spec, new_params, test_eval)
     if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
         raise RuntimeError(f"non-finite evaluation loss at round {rnd}")
 
@@ -243,7 +288,6 @@ def run_training(
     server: ServerState,
     clients: list,
     cfg: FederationConfig,
-    train_eval,
     test_eval,
     on_round=None,
 ) -> TrainingResult:
@@ -256,7 +300,7 @@ def run_training(
     reason = "completed"
     while server.t < server.T:
         try:
-            record = run_round(server, clients, cfg, train_eval, test_eval)
+            record = run_round(server, clients, cfg, test_eval)
         except BudgetExhausted:
             reason = "budget_exhausted"
             break

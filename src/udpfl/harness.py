@@ -424,24 +424,25 @@ def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
 
 
 def run_simulation(
-    cfg: ExperimentConfig, server, clients, fcfg: FederationConfig, train_eval, test_eval
+    cfg: ExperimentConfig, server, clients, fcfg: FederationConfig, test_eval
 ) -> TrainingResult:
     """Train a wired simulation under the config's ``scheduler``.
 
     ``fixed`` runs to the round budget.  ``crd`` discounts the budget by
     ``beta`` whenever the test loss improves by less than ``zeta``, starting
     from the initial model's test loss.  ``decay`` shrinks the noise linearly
-    (``slope_fraction``) until the moment accountant halts the run.
+    (``slope_fraction``) until the moment accountant halts the run.  Every
+    round's train loss is over the clients' shards; ``test_eval`` is the test set.
     """
     if cfg.scheduler == "decay":
         return linear_decay_baseline(
-            server, clients, fcfg, train_eval, test_eval, slope_fraction=cfg.slope_fraction
+            server, clients, fcfg, test_eval, slope_fraction=cfg.slope_fraction
         )
     on_round = None
     if cfg.scheduler == "crd":
         v0, _ = evaluate(fcfg.spec, server.global_params, test_eval)
         on_round = CrdScheduler(CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init), v0)
-    return run_training(server, clients, fcfg, train_eval, test_eval, on_round=on_round)
+    return run_training(server, clients, fcfg, test_eval, on_round=on_round)
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
@@ -451,7 +452,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     spec = build_model_spec(cfg, train_eval)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
-    result = run_simulation(cfg, server, clients, fcfg, train_eval, test_eval)
+    result = run_simulation(cfg, server, clients, fcfg, test_eval)
     records, stop = result.records, result.stop_reason
 
     if not records:
@@ -729,7 +730,7 @@ def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, 
             )
             norms_all.append(norms)
             rows.extend((r, c.id, n) for n in norms)
-        run_round(server, clients, fcfg, train_eval, test_eval)
+        run_round(server, clients, fcfg, test_eval)
     path = outdir / "pilot_norms.csv"
     _atomic_write_text(path, _csv(("round", "client", "norm"), rows))
     c_value = float(np.median(np.concatenate(norms_all)))

@@ -149,14 +149,33 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _scores(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The forward pass: per-sample scores (svm) or logits (softmax network)."""
+def _forward_buffers(spec: ModelSpec, X: np.ndarray) -> tuple:
+    """Uninitialized ``(inputs, pre, scores)`` for a forward pass over X's rows."""
+    n, (_, *hidden, c) = len(X), _widths(spec)
+    pre = [np.empty((n, h)) for h in hidden]
+    return [X, *map(np.empty_like, pre)], pre, np.empty(n if spec.kind == "svm" else (n, c))
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray, out=None) -> tuple:
+    """The forward pass ``(inputs, pre, scores)``: every layer's input (``[X]``
+    for svm), each hidden layer's pre-activation, and the per-sample scores
+    (svm) or logits.  ``out``, buffers from ``_forward_buffers`` for X's rows,
+    receives the pass in place.
+    """
+    inputs, pre, scores = out if out is not None else _forward_buffers(spec, X)
     if spec.kind == "svm":
-        return X @ params
+        return inputs, pre, np.matmul(X, params, out=scores)
     *hidden, (W, b) = _layers(spec, params)
-    for Wh, bh in hidden:
-        X = np.maximum(X @ Wh + bh, 0.0)
-    return X @ W + b
+    for (Wh, bh), Z, H in zip(hidden, pre, inputs[1:]):
+        np.add(np.matmul(X, Wh, out=Z), bh, out=Z)
+        X = np.maximum(Z, 0.0, out=H)
+    np.add(np.matmul(X, W, out=scores), b, out=scores)
+    return inputs, pre, scores
+
+
+def _scores(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-sample scores (svm) or logits (softmax network)."""
+    return _forward(spec, params, X)[2]
 
 
 def _loss_from_scores(spec, params, scores, y) -> float:
@@ -197,13 +216,14 @@ def loss_and_accuracy(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.
     )
 
 
-def _backward(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """``(norms2, grad_sum)``: per-sample squared gradient norms, and a function
-    mapping per-sample weights s to the flat sum of s[i] times sample i's gradient.
+def _backward(spec: ModelSpec, params: np.ndarray, fwd: tuple, y: np.ndarray, sq_norms):
+    """``(norms2, grad_sum)`` from the forward ``fwd`` of rows with labels y and squared
+    norms ``sq_norms``: per-sample squared gradient norms, and a function mapping
+    weights s and a row range to the flat sum over it of s[i] times row i's gradient.
     """
-    n = len(X)
+    inputs, pre, scores = fwd
     if spec.kind == "svm":
-        scores = X @ params
+        X = inputs[0]
         if spec.hinge == "label_threshold":
             coeff = ((y - scores) > 0.0).astype(float)  # hinge gradient is -coeff*x
         else:
@@ -211,27 +231,23 @@ def _backward(spec: ModelSpec, params: np.ndarray, X: np.ndarray, y: np.ndarray)
         norms2 = (
             spec.kappa**2 * float(params @ params)
             - 2.0 * spec.kappa * coeff * scores
-            + np.abs(coeff) * (X * X).sum(axis=1)
+            + np.abs(coeff) * sq_norms
         )
-        return norms2, lambda s: s.sum() * spec.kappa * params - X.T @ (s * coeff)
+        return norms2, lambda s, r: s[r].sum() * spec.kappa * params - X[r].T @ (s[r] * coeff[r])
     layers = _layers(spec, params)
-    inputs, pre = [X], []  # every layer's input; every hidden layer's pre-activation
-    for W, b in layers[:-1]:
-        pre.append(inputs[-1] @ W + b)
-        inputs.append(np.maximum(pre[-1], 0.0))
-    W, b = layers[-1]
-    deltas = [_softmax(inputs[-1] @ W + b)]
-    deltas[0][np.arange(n), y] -= 1.0
+    deltas = [_softmax(scores)]
+    deltas[0][np.arange(len(y)), y] -= 1.0
     for (W, _), Z in zip(layers[:0:-1], pre[::-1]):  # back through the hidden layers
         deltas.insert(0, (deltas[0] @ W.T) * (Z > 0.0))
     # a layer's per-sample gradient is the outer product of [input, 1] and its delta
-    norms2 = sum((D * D).sum(axis=1) * ((A * A).sum(axis=1) + 1.0) for A, D in zip(inputs, deltas))
+    sq = [sq_norms, *((A * A).sum(axis=1) for A in inputs[1:])]
+    norms2 = sum((D * D).sum(axis=1) * (a2 + 1.0) for a2, D in zip(sq, deltas))
 
-    def grad_sum(s):
+    def grad_sum(s, rows):
         parts = []
         for A, D in zip(inputs, deltas):
-            Ds = D * s[:, None]
-            parts += [(A.T @ Ds).ravel(), Ds.sum(axis=0)]
+            Ds = D[rows] * s[rows, None]
+            parts += [(A[rows].T @ Ds).ravel(), Ds.sum(axis=0)]
         return np.concatenate(parts)
 
     return norms2, grad_sum
@@ -242,7 +258,7 @@ def per_sample_grad_norms(
 ) -> np.ndarray:
     """L2 norms of the unclipped per-sample gradients."""
     X, y = _check_batch(spec, params, X, y)
-    norms2, _ = _backward(spec, params, X, y)
+    norms2, _ = _backward(spec, params, _forward(spec, params, X), y, (X * X).sum(axis=1))
     return np.sqrt(np.maximum(norms2, 0.0))
 
 
@@ -259,8 +275,8 @@ def clipped_gradient_sum(
     if clip <= 0.0:
         raise ValueError(f"clip threshold must be > 0, got {clip}")
     X, y = _check_batch(spec, params, X, y)
-    norms2, grad_sum = _backward(spec, params, X, y)
-    return grad_sum(_clip_factors(norms2, clip))
+    norms2, grad_sum = _backward(spec, params, _forward(spec, params, X), y, (X * X).sum(axis=1))
+    return grad_sum(_clip_factors(norms2, clip), slice(None))
 
 
 def per_sample_gradient(spec: ModelSpec, params: np.ndarray, sample: Sample) -> np.ndarray:

@@ -95,7 +95,6 @@ def linear_decay_baseline(
     server: ServerState,
     clients: list,
     cfg: FederationConfig,
-    train_eval,
     test_eval,
     slope_fraction: float = 1.0,
 ) -> TrainingResult:
@@ -125,5 +124,5 @@ def linear_decay_baseline(
         if any(not c.ledger.within(extra_sigma=sig[c.id]) for c in clients):
             halt = "accountant_halt"
             break
-        run_round(server, clients, cfg, train_eval, test_eval, sigma_override=sig)
+        run_round(server, clients, cfg, test_eval, sigma_override=sig)
     return TrainingResult(server.global_params, server.records, server.t, halt)

@@ -84,7 +84,7 @@ def _train_once(env, K, eps, T, seed, crd=False):
     scheduler = "crd" if crd else "fixed"
     cfg = dataclasses.replace(cfg, K=K, epsilon_p=eps, T_init=T, scheduler=scheduler)
     server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
-    result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
+    result = run_simulation(cfg, server, clients, fcfg, test)
     return result, clients
 
 
@@ -220,7 +220,7 @@ def test_05_noiseless_federation_equals_centralized_gd():
     )
     server, clients, fcfg = build_simulation(cfg, 3, shards, spec)
     w = server.global_params.copy()
-    result = run_training(server, clients, fcfg, train, test)
+    result = run_training(server, clients, fcfg, test)
 
     # independent centralized oracle on the pooled samples, from the same start
     order = np.concatenate(idx)
@@ -416,7 +416,7 @@ def test_10_every_run_stays_within_noise_budget(u_shape_runs, discounting_runs):
     cfg, shards, train_eval, test, spec = _svm_env(1)
     cfg = dataclasses.replace(cfg, T_init=60, scheduler="decay")
     server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
-    decay = run_simulation(cfg, server, clients, fcfg, train_eval, test)
+    decay = run_simulation(cfg, server, clients, fcfg, test)
     assert decay.realized_T > 0
     LEDGER_AUDIT.append((
         "svm_decay_s1", "decay",

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_inverse_variance_budget
-from udpfl import models
+from test_models import SPEC_IDS, SPECS, make_batch
+from udpfl import federation, models
 from udpfl.accountant import (
     BudgetExhausted,
     MomentLedger,
@@ -31,7 +32,14 @@ from udpfl.federation import (
     run_training,
     sample_clients,
 )
-from udpfl.models import ModelSpec, clipped_gradient_sum, init_params, param_count
+from udpfl.models import (
+    ModelSpec,
+    clipped_gradient_sum,
+    init_params,
+    local_update,
+    loss,
+    param_count,
+)
 
 INF = float("inf")
 
@@ -193,7 +201,7 @@ def test_noiseless_full_participation_equals_centralized_oracle():
     spec, clients, cfg, server, train_eval, test = make_federation(
         n_clients=5, per_client=10, T=25
     )
-    result = run_training(server, clients, cfg, train_eval, test)
+    result = run_training(server, clients, cfg, test)
     oracle = centralized_clipped_gd(
         spec, np.zeros(param_count(spec)), [c.shard for c in clients],
         cfg.eta, cfg.clip, 25,
@@ -206,7 +214,7 @@ def test_noiseless_unequal_shards_match_size_weighted_oracle():
     spec, clients, cfg, server, train_eval, test = make_federation(
         sizes=[4, 8, 12, 16], n_clients=4, T=15
     )
-    result = run_training(server, clients, cfg, train_eval, test)
+    result = run_training(server, clients, cfg, test)
     oracle = centralized_clipped_gd(
         spec, np.zeros(param_count(spec)), [c.shard for c in clients],
         cfg.eta, cfg.clip, 15,
@@ -218,7 +226,7 @@ def test_run_round_appends_complete_record():
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=4.0, K=3, T=10
     )
-    rec = run_round(server, clients, cfg, train_eval, test)
+    rec = run_round(server, clients, cfg, test)
     assert isinstance(rec, RoundRecord)
     assert rec.round == 0 and rec.T_at_start == 10
     assert len(rec.selected) == 3 and rec.selected == tuple(sorted(rec.selected))
@@ -232,25 +240,35 @@ def test_run_round_appends_complete_record():
 
 
 def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch):
+    sizes = [6, 11, 8, 14, 9]
     spec, clients, cfg, server, train_eval, test = make_federation(
-        epsilon=4.0, K=3, T=10
+        sizes=sizes, n_clients=5, epsilon=4.0, K=3, T=10
     )
-    rows, forward = [], models._scores
+    run_round(server, clients, cfg, test)
+    events, forward, add_noise = [], models._forward, federation.add_noise
 
-    def counting(spec, params, X):
-        rows.append(len(X))
-        return forward(spec, params, X)
+    def counting(spec, params, X, out=None):
+        events.append(len(X))
+        return forward(spec, params, X, out)
 
-    monkeypatch.setattr(models, "_scores", counting)
-    run_round(server, clients, cfg, train_eval, test)
-    assert rows == [len(train_eval), len(test)]
+    def noting(params, sigma, rng):
+        events.append("noise")
+        return add_noise(params, sigma, rng)
+
+    monkeypatch.setattr(models, "_forward", counting)
+    monkeypatch.setattr(federation, "_forward", counting)
+    monkeypatch.setattr(federation, "add_noise", noting)
+    run_round(server, clients, cfg, test)
+    # the local steps start from the previous round's train-loss forward; the
+    # new parameters are forwarded once over every client's rows, then the test set
+    assert events == ["noise"] * 3 + sizes + [len(test)]
 
 
 def test_sigma_constant_while_T_fixed_and_matches_closed_form():
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=4.0, K=3, T=8
     )
-    result = run_training(server, clients, cfg, train_eval, test)
+    result = run_training(server, clients, cfg, test)
     q = 3 / 5
     dl = sensitivity(cfg.eta, cfg.clip, 10)
     expected = calibrate_sigma(clients[0].budget, q, 8, dl)
@@ -265,7 +283,7 @@ def test_ledger_soundness_after_noisy_run():
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=2.0, K=2, T=12
     )
-    run_training(server, clients, cfg, train_eval, test)
+    run_training(server, clients, cfg, test)
     q = 2 / 5
     for c in clients:
         dl = sensitivity(cfg.eta, cfg.clip, len(c.shard))
@@ -277,7 +295,7 @@ def test_deterministic_replay_bitwise():
         spec, clients, cfg, server, train_eval, test = make_federation(
             epsilon=4.0, K=3, T=10, seed=42
         )
-        return run_training(server, clients, cfg, train_eval, test)
+        return run_training(server, clients, cfg, test)
 
     a, b = one_run(), one_run()
     assert np.array_equal(a.params, b.params)
@@ -296,13 +314,13 @@ def test_budget_exhausted_leaves_state_intact():
         c.sigma_history.extend([0.5] * 5)
     params_before = server.global_params.copy()
     with pytest.raises(BudgetExhausted):
-        run_round(server, clients, cfg, train_eval, test)
+        run_round(server, clients, cfg, test)
     assert server.t == 0 and len(server.records) == 0
     assert np.array_equal(server.global_params, params_before)
     assert len(clients[0].sigma_history) == 5  # no new charges
 
     # run_training converts the failure into a clean stop
-    result = run_training(server, clients, cfg, train_eval, test)
+    result = run_training(server, clients, cfg, test)
     assert result.stop_reason == "budget_exhausted"
     assert result.realized_T == 0
 
@@ -313,7 +331,7 @@ def test_nonpositive_sigma_override_rejected_before_any_charge():
     )
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(
-            server, clients, cfg, train_eval, test,
+            server, clients, cfg, test,
             sigma_override={c.id: 0.0 if c.id == 3 else 0.5 for c in clients},
         )
     assert server.t == 0 and len(server.records) == 0
@@ -330,7 +348,7 @@ def test_on_round_may_shrink_T_but_not_grow_it():
             server_.T = 8
             record.trigger_fired = True
 
-    result = run_training(server, clients, cfg, train_eval, test, on_round=shrink)
+    result = run_training(server, clients, cfg, test, on_round=shrink)
     assert result.realized_T == 8
     assert [r.trigger_fired for r in result.records].count(True) == 1
     assert [r.T_at_start for r in result.records] == [30] * 5 + [8] * 3
@@ -343,7 +361,7 @@ def test_on_round_may_shrink_T_but_not_grow_it():
         server_.T = 99
 
     with pytest.raises(RuntimeError, match="illegally"):
-        run_training(server, clients, cfg, train_eval, test, on_round=grow)
+        run_training(server, clients, cfg, test, on_round=grow)
 
 
 def test_sigma_rises_after_T_shrink():
@@ -356,7 +374,7 @@ def test_sigma_rises_after_T_shrink():
         if server_.t == 10:
             server_.T = 20
 
-    run_training(server, clients, cfg, train_eval, test, on_round=shrink)
+    run_training(server, clients, cfg, test, on_round=shrink)
     h = clients[0].sigma_history
     assert len(h) == 20
     assert all(abs(s - h[0]) < 1e-12 for s in h[:10])
@@ -381,7 +399,95 @@ def test_mixed_sensitivities_get_distinct_sigmas():
     spec, clients, cfg, server, train_eval, test = make_federation(
         sizes=[5, 5, 20, 20], n_clients=4, epsilon=3.0, K=4, T=6
     )
-    rec = run_round(server, clients, cfg, train_eval, test)
+    rec = run_round(server, clients, cfg, test)
     sig = rec.sigma_by_client
     assert sig[0] == sig[1] and sig[2] == sig[3]
     assert sig[0] > sig[2]  # smaller shard -> larger sensitivity -> more noise
+
+
+def test_client_ids_must_be_their_positions():
+    # sigmas are keyed by client id but the selection reads clients by position:
+    # a 10-row client at position 0 with id 1 would upload with the noise of
+    # the 90-row client's (smaller) sensitivity
+    ds = synth_linear(120, 4, 1.0, seed=3)
+    spec = ModelSpec("svm", input_dim=4, kappa=0.01)
+    cfg = FederationConfig(spec=spec, K=1, eta=0.05, clip=0.5, seed=0)
+    budget = PrivacyBudget(4.0, 1e-3)
+    clients = [
+        ClientState(cid, ds.subset(idx), MomentLedger(budget, 0.5, sensitivity(0.05, 0.5, len(idx))))
+        for cid, idx in ((1, np.arange(10)), (0, np.arange(10, 100)))
+    ]
+    server = ServerState(global_params=np.zeros(4), T=5)
+    with pytest.raises(ValueError, match="positions"):
+        run_round(server, clients, cfg, ds.subset(np.arange(100, 120)))
+    assert server.t == 0 and all(c.sigma_history == [] for c in clients)
+    with pytest.raises(ValueError, match="positions"):
+        run_round(server, [], cfg, ds.subset(np.arange(100, 120)))
+
+
+# --- the stacked round engine against the per-client reference ---
+
+
+def spec_federation(spec, sizes=(7, 3, 12, 5, 9), K=3, epsilon=INF, seed=0):
+    """Unequal shards of one spec's data; the server starts at random parameters."""
+    X, y = make_batch(spec, sum(sizes) + 20, 50 + seed)
+    ds = Dataset(X, y, max(spec.num_classes, 2), "synthetic")
+    ends = np.cumsum(sizes)
+    shards = [ds.subset(np.arange(e - n, e)) for n, e in zip(sizes, ends)]
+    test = ds.subset(np.arange(ends[-1], len(X)))
+    cfg = FederationConfig(spec=spec, K=K, eta=0.3, clip=0.5, seed=seed)
+    budget = PrivacyBudget(epsilon, 1e-3)
+    clients = [
+        ClientState(i, sh, MomentLedger(budget, K / len(sizes), sensitivity(0.3, 0.5, len(sh))))
+        for i, sh in enumerate(shards)
+    ]
+    params = np.random.default_rng(seed).normal(scale=0.5, size=param_count(spec))
+    return clients, cfg, ServerState(global_params=params, T=10), test
+
+
+def naive_round(spec, params, clients, cfg, selected):
+    """``local_update`` per selected client, then ``aggregate`` in the same order."""
+    total = sum(len(clients[i].shard) for i in selected)
+    return aggregate([
+        (
+            len(clients[i].shard) / total,
+            local_update(
+                spec, params, clients[i].shard.features, clients[i].shard.labels,
+                cfg.eta, cfg.clip,
+            ),
+        )
+        for i in selected
+    ])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_stacked_rounds_equal_per_client_local_updates_bitwise(spec):
+    clients, cfg, server, test = spec_federation(spec)
+    X = np.concatenate([c.shard.features for c in clients])
+    y = np.concatenate([c.shard.labels for c in clients])
+    want = server.global_params.copy()
+    for _ in range(3):
+        rec = run_round(server, clients, cfg, test)
+        want = naive_round(spec, want, clients, cfg, rec.selected)
+        assert np.array_equal(server.global_params, want)
+        assert rec.train_loss == pytest.approx(loss(spec, want, X, y), rel=1e-13)
+    assert len({r.selected for r in server.records}) > 1  # K < U: the selection moved
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_params_overwritten_in_place_are_not_served_a_stale_forward(spec):
+    clients, cfg, server, test = spec_federation(spec)
+    run_round(server, clients, cfg, test)
+    server.global_params *= 0.5  # the same array, new values
+    start = server.global_params.copy()
+    rec = run_round(server, clients, cfg, test)
+    assert np.array_equal(server.global_params, naive_round(spec, start, clients, cfg, rec.selected))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_out_of_range_label_rejected_before_any_charge(spec):
+    clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
+    clients[3].shard.labels[2] = 0 if spec.kind == "svm" else spec.num_classes
+    with pytest.raises(ValueError, match="labels"):
+        run_round(server, clients, cfg, test)
+    assert server.t == 0 and all(c.sigma_history == [] for c in clients)

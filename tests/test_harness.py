@@ -349,7 +349,7 @@ def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     shards, train_eval, test = load_experiment_data(cfg, 1)
     spec = build_model_spec(cfg, train_eval)
     server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
-    result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
+    result = run_simulation(cfg, server, clients, fcfg, test)
     assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
     cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
     assert rounds_csv_text(1, result.records) == cli_rounds

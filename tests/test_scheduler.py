@@ -82,7 +82,7 @@ def test_crd_scheduler_on_live_run_yields_staircase():
 
     v0, _ = evaluate(cfg.spec, server.global_params, test)
     sched = CrdScheduler(CrdConfig(beta=0.7, zeta=0.05, T_init=60), v0)
-    result = run_training(server, clients, cfg, train_eval, test, on_round=sched)
+    result = run_training(server, clients, cfg, test, on_round=sched)
     traj = [r.T_at_start for r in result.records]
     assert all(b <= a for a, b in zip(traj, traj[1:]))
     assert result.realized_T < 60  # zeta this large must trigger
@@ -115,7 +115,7 @@ def run_decay(slope_fraction, epsilon=4.0, T=30, seed=3):
         epsilon=epsilon, K=3, T=T, seed=seed
     )
     result = linear_decay_baseline(
-        server, clients, cfg, train_eval, test, slope_fraction=slope_fraction
+        server, clients, cfg, test, slope_fraction=slope_fraction
     )
     return result, clients, cfg
 

@@ -58,7 +58,7 @@ def test_ledger_audit_sees_every_charged_round(scheduler):
     run.ledgers = [(len(c.shard), c.budget, c.sigma_history) for c in clients]
     run.participation = (fcfg.K, len(clients), fcfg.eta, fcfg.clip)
 
-    result = run_simulation(cfg, server, clients, fcfg, train_eval, test)
+    result = run_simulation(cfg, server, clients, fcfg, test)
     assert result.realized_T > 0
     assert [len(h) for _, _, h in run.ledgers] == [result.realized_T] * len(clients)
     assert checks.ledger_violations(run) == []
