@@ -11,7 +11,20 @@ model on the clients' rows (loss) and on the test set (loss and accuracy).
 Per run, the server stacks the clients' rows in client order (``clients[i].id``
 must be i) and checks their labels once.  A round's train-loss forward pass is
 the one the next round's local steps start from, and one backward pass over it
-serves every selected client.
+serves every selected client.  Each noised upload is added to one accumulator
+as it would be by ``add_noise`` then ``aggregate``, with the same rounding and
+client-id order, so no list of uploads is kept.
+
+Each process has one helper thread, made on first use and again after a fork
+(a forked child inherits the executor but not its thread), and none where the
+process may use one CPU only.  In a round it draws the noisy clients' standard
+normals, from generators the main thread builds, beside the backward pass and
+the local steps; then it evaluates the new model on the test set beside the
+forward over the clients' rows.  A job reading under ``_HELPER_MIN_BYTES`` runs
+inline instead, since waking the helper would cost as much.  A helper job is a
+pure function of its arguments and writes only memory the main thread reads
+after joining it, so no output depends on where or when it ran; a round that
+fails joins its jobs before it raises.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -26,6 +39,9 @@ such runs bit-identical to plain federated gradient descent.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +55,9 @@ from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_ac
 _TAG_SELECT = 1
 _TAG_NOISE = 2
 WEIGHT_MODES = ("by_size", "equal")
+_helper_of_pid = (None, None)  # (pid, its one-thread executor or None)
+# a smaller helper job runs inline: waking the helper can cost ~0.1 ms, as much as the job
+_HELPER_MIN_BYTES = 1 << 22
 
 
 @dataclass
@@ -139,15 +158,19 @@ def add_noise(params: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
     return params + sigma * rng.standard_normal(params.shape)
 
 
-def aggregate(uploads: list) -> np.ndarray:
-    """Weighted coordinate-wise average of (weight, params) uploads."""
-    if not uploads:
+def _check_weights(weights) -> None:
+    weights = np.array(weights, dtype=float)
+    if not weights.size:
         raise ValueError("no uploads to aggregate")
-    weights = np.array([w for w, _ in uploads], dtype=float)
     if np.any(weights <= 0):
         raise ValueError("aggregation weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"aggregation weights sum to {weights.sum()!r}, not 1")
+
+
+def aggregate(uploads: list) -> np.ndarray:
+    """Weighted coordinate-wise average of (weight, params) uploads."""
+    _check_weights([w for w, _ in uploads])
     out = np.zeros_like(uploads[0][1])
     for w, p in uploads:
         out += w * p
@@ -165,6 +188,40 @@ def _selection_rng(seed: int, rnd: int) -> np.random.Generator:
 
 def _noise_rng(seed: int, client_id: int, rnd: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _TAG_NOISE, client_id, rnd)))
+
+
+def _draw_noise(rngs: list, block: np.ndarray) -> None:
+    """Row j of ``block`` gets ``rngs[j]``'s standard normals (``add_noise``'s z)."""
+    for rng, row in zip(rngs, block):
+        rng.standard_normal(out=row)
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """This process's helper thread (None on one CPU), made again in a forked child."""
+    global _helper_of_pid
+    pid, pool = _helper_of_pid
+    if pid != os.getpid():
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ThreadPoolExecutor(1, "udpfl-helper") if (cpus or 1) > 1 else None
+        _helper_of_pid = (os.getpid(), pool)
+    return pool
+
+
+@contextmanager
+def _on_helper(nbytes: int, fn, *args):
+    """Run ``fn(*args)``, a job reading ``nbytes`` of arrays, beside the block: on the
+    helper if it exists and the job is worth a thread handoff, else first, on this
+    thread.  Yields its future, joined before the block's exit goes on, raised or not."""
+    pool = _helper() if nbytes >= _HELPER_MIN_BYTES else None
+    if pool is None:
+        future = Future()
+        future.set_result(fn(*args))
+    else:
+        future = pool.submit(fn, *args)
+    try:
+        yield future
+    finally:
+        wait((future,))
 
 
 def _round_sigmas(clients: list, T: int) -> dict:
@@ -203,6 +260,13 @@ class _Stacked:
         self.rows = [slice(e - len(x), e) for x, e in zip(self.X, ends)]
         self.y, self.sq_norms = np.concatenate(ys), np.concatenate([(x * x).sum(1) for x in self.X])
         self.fwd = _forward_buffers(spec, _row_stack(self.X))
+        self.noise = np.empty((0, len(params)))
+
+    def noise_rows(self, k: int) -> np.ndarray:
+        """``k`` rows of scratch for one round's standard normals, kept across rounds."""
+        if len(self.noise) < k:
+            self.noise = np.empty((k, self.noise.shape[1]))
+        return self.noise[:k]
 
     def fill(self, params: np.ndarray) -> None:
         """Forward every client's rows at ``params``, each into its row range."""
@@ -226,6 +290,15 @@ def run_round(
     (client id -> noise scale) bypasses the budget recalibration — used by
     externally-scheduled baselines, which check the same ledgers with their
     own halting rule before each round.
+
+    Order: refill the stacked forward if the parameters moved; noise scales
+    (may raise ``BudgetExhausted``); selection; the helper draws the noisy
+    selected clients' z while this thread runs the backward pass and the
+    clipped steps, and ``w * (local + sigma * z)`` is summed in client-id
+    order as the draws allow; the helper evaluates ``test_eval`` while this
+    thread forwards the clients' rows.  Every helper job is joined before the
+    round goes on or raises (the module docstring says why the thread
+    schedule cannot show in the outputs).
     """
     if server.t >= server.T:
         raise ValueError(f"round budget exhausted: t={server.t}, T={server.T}")
@@ -243,26 +316,43 @@ def run_round(
         sigmas = {c.id: float(sigma_override[c.id]) for c in clients}
         if any(sigmas[c.id] <= 0.0 for c in clients if not c.noiseless):
             raise ValueError("sigma_override must be > 0 for every noisy client")
+        if min(sigmas.values()) < 0.0:
+            raise ValueError("sigma_override must be >= 0 for every client")
     selected = sample_clients(len(clients), cfg.K, _selection_rng(cfg.seed, rnd))
 
-    uploads = []
     if cfg.weight_mode == "by_size":
         total = sum(len(clients[i].shard) for i in selected)
-        weights = {i: len(clients[i].shard) / total for i in selected}
+        weights = [len(clients[i].shard) / total for i in selected]
     else:
-        weights = {i: 1.0 / cfg.K for i in selected}
-    norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
-    factors = _clip_factors(norms2, cfg.clip)
-    for i in selected:  # already sorted by client id
-        # one full-batch clipped step from the global parameters (models.local_update)
-        local = params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
-        noised = add_noise(local, sigmas[i], _noise_rng(cfg.seed, i, rnd))
-        uploads.append((weights[i], noised))
+        weights = [1.0 / cfg.K] * len(selected)
+    _check_weights(weights)
+    noisy = [i for i in selected if sigmas[i] > 0.0]  # a noiseless upload draws nothing
+    rows = st.noise_rows(len(noisy))
+    z = dict(zip(noisy, rows))
+    # the generators are built on this thread: that work holds the GIL, the fill does not
+    rngs = [_noise_rng(cfg.seed, i, rnd) for i in noisy]
+    new_params = np.zeros_like(params)
+    with _on_helper(rows.nbytes, _draw_noise, rngs, rows) as drawn:
+        norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
+        factors = _clip_factors(norms2, cfg.clip)
+        waiting = []  # clipped steps not yet summed, in client-id order
+        for i, w in zip(selected, weights):
+            # one full-batch clipped step from the global parameters (models.local_update)
+            step = params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
+            waiting.append((i, w, step))
+            if drawn.done() or i == selected[-1]:  # rounded as add_noise, then aggregate
+                drawn.result()
+                for j, wj, upload in waiting:
+                    if j in z:
+                        upload += np.multiply(z[j], sigmas[j], out=z[j])
+                    new_params += np.multiply(upload, wj, out=upload)
+                waiting.clear()
 
-    new_params = aggregate(uploads)
-    st.fill(new_params)
-    train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)
-    test_loss, test_acc = evaluate(spec, new_params, test_eval)
+    X_test, y_test = test_eval.features, test_eval.labels
+    with _on_helper(X_test.nbytes, loss_and_accuracy, spec, new_params, X_test, y_test) as tested:
+        st.fill(new_params)
+        train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)
+        test_loss, test_acc = tested.result()
     if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
         raise RuntimeError(f"non-finite evaluation loss at round {rnd}")
 

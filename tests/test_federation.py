@@ -5,6 +5,9 @@ gradient descent loop written here from scratch (pooled data, no
 federation machinery).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,12 @@ from udpfl.models import (
 )
 
 INF = float("inf")
+
+
+@pytest.fixture
+def helper_always(monkeypatch):
+    """Every round job goes to the helper thread, however small (where there is one)."""
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)
 
 
 def make_federation(
@@ -239,29 +248,34 @@ def test_run_round_appends_complete_record():
     assert all(len(c.sigma_history) == 1 for c in clients)
 
 
-def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch):
+def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch, helper_always):
     sizes = [6, 11, 8, 14, 9]
     spec, clients, cfg, server, train_eval, test = make_federation(
         sizes=sizes, n_clients=5, epsilon=4.0, K=3, T=10
     )
     run_round(server, clients, cfg, test)
-    events, forward, add_noise = [], models._forward, federation.add_noise
+    events, forward, draw = [], models._forward, federation._draw_noise
 
     def counting(spec, params, X, out=None):
         events.append(len(X))
         return forward(spec, params, X, out)
 
-    def noting(params, sigma, rng):
-        events.append("noise")
-        return add_noise(params, sigma, rng)
+    def noting(rngs, block):
+        assert len(rngs) == len(block)
+        events.extend(["noise"] * len(rngs))
+        return draw(rngs, block)
 
     monkeypatch.setattr(models, "_forward", counting)
     monkeypatch.setattr(federation, "_forward", counting)
-    monkeypatch.setattr(federation, "add_noise", noting)
+    monkeypatch.setattr(federation, "_draw_noise", noting)
     run_round(server, clients, cfg, test)
-    # the local steps start from the previous round's train-loss forward; the
-    # new parameters are forwarded once over every client's rows, then the test set
-    assert events == ["noise"] * 3 + sizes + [len(test)]
+    # the local steps start from the previous round's train-loss forward, so the
+    # K noise draws beside them meet no forward; then the new parameters are
+    # forwarded once over every client's rows, in client order, while the test
+    # set is forwarded once on the helper thread, so those two interleave
+    assert events[:3] == ["noise"] * 3
+    assert sorted(events[3:]) == sorted(sizes + [len(test)])
+    assert [e for e in events[3:] if e != len(test)] == sizes
 
 
 def test_sigma_constant_while_T_fixed_and_matches_closed_form():
@@ -472,6 +486,134 @@ def test_stacked_rounds_equal_per_client_local_updates_bitwise(spec):
         assert np.array_equal(server.global_params, want)
         assert rec.train_loss == pytest.approx(loss(spec, want, X, y), rel=1e-13)
     assert len({r.selected for r in server.records}) > 1  # K < U: the selection moved
+
+
+def noisy_reference_round(spec, params, clients, cfg, rnd, sigmas):
+    """Per selected client ``local_update`` then ``add_noise`` with its keyed
+    generator, then ``aggregate`` in client-id order."""
+    total = sum(len(clients[i].shard) for i in sigmas)
+    return aggregate([
+        (
+            len(clients[i].shard) / total,
+            add_noise(
+                local_update(
+                    spec, params, clients[i].shard.features, clients[i].shard.labels,
+                    cfg.eta, cfg.clip,
+                ),
+                sigma, federation._noise_rng(cfg.seed, i, rnd),
+            ),
+        )
+        for i, sigma in sorted(sigmas.items())
+    ])
+
+
+@pytest.mark.parametrize("min_bytes", [0, 1 << 62], ids=["helper", "inline"])
+@pytest.mark.parametrize("override", [False, True], ids=["recalibrated", "sigma_override"])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
+    spec, override, min_bytes, monkeypatch
+):
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
+    # the decay baseline's path: a fixed scale per client, distinct per client
+    sigma_override = {c.id: 0.05 * (c.id + 1) for c in clients} if override else None
+    want = server.global_params.copy()
+    for rnd in range(3):
+        rec = run_round(server, clients, cfg, test, sigma_override=sigma_override)
+        assert all(s > 0 for s in rec.sigma_by_client.values())
+        if override:
+            assert rec.sigma_by_client == {i: sigma_override[i] for i in rec.selected}
+        want = noisy_reference_round(spec, want, clients, cfg, rnd, rec.sigma_by_client)
+        assert np.array_equal(server.global_params, want)
+    assert len({r.selected for r in server.records}) > 1
+
+
+def test_noiseless_client_beside_noisy_ones_uploads_its_local_step_exactly(monkeypatch):
+    spec = SPECS[0]
+    clients, cfg, server, test = spec_federation(spec, K=5, epsilon=4.0)
+    free = ClientState(1, clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
+    clients[1] = free
+    draws, draw = [], federation._draw_noise
+
+    def counting(rngs, block):
+        draws.append(len(rngs))
+        return draw(rngs, block)
+
+    monkeypatch.setattr(federation, "_draw_noise", counting)
+    want = server.global_params.copy()
+    rec = run_round(server, clients, cfg, test)
+    assert rec.sigma_by_client[1] == 0.0 and free.sigma_history == []
+    assert draws == [4]  # the noiseless client draws nothing
+    want = noisy_reference_round(spec, want, clients, cfg, 0, rec.sigma_by_client)
+    assert np.array_equal(server.global_params, want)
+
+
+def test_negative_sigma_override_rejected_before_any_charge():
+    clients, cfg, server, test = spec_federation(SPECS[0], K=5)  # every client noiseless
+    start = server.global_params.copy()
+    with pytest.raises(ValueError, match="sigma_override"):
+        run_round(server, clients, cfg, test, sigma_override={c.id: -0.1 for c in clients})
+    assert server.t == 0 and np.array_equal(server.global_params, start)
+
+
+def _state(server, clients):
+    return server.t, server.global_params.copy(), [list(c.sigma_history) for c in clients]
+
+
+@pytest.mark.parametrize("phase", ["clip_factors", "test_loss"])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
+    spec, phase, monkeypatch, helper_always
+):
+    clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
+    run_round(server, clients, cfg, test)
+    before = _state(server, clients)
+    started, finished = threading.Event(), []
+    if phase == "clip_factors":  # the backward side fails while the noise is drawn
+        draw = federation._draw_noise
+
+        def slow_draw(rngs, block):
+            started.set()
+            for rng, row in zip(rngs, block):
+                time.sleep(0.01)
+                draw([rng], row[None])
+                finished.append(row)
+
+        def failing_clip(norms2, clip):
+            assert started.wait(10)
+            raise FloatingPointError("clip factors")
+
+        monkeypatch.setattr(federation, "_draw_noise", slow_draw)
+        monkeypatch.setattr(federation, "_clip_factors", failing_clip)
+        expected, error = cfg.K, FloatingPointError
+    else:  # the test pass returns a non-finite loss while the train rows are forwarded
+        evaluate_test = federation.loss_and_accuracy
+
+        def slow_nan_eval(*args):
+            started.set()
+            time.sleep(0.05)
+            evaluate_test(*args)
+            finished.append("test")
+            return float("nan"), 0.0
+
+        monkeypatch.setattr(federation, "loss_and_accuracy", slow_nan_eval)
+        expected, error = 1, RuntimeError
+    with pytest.raises(error):
+        run_round(server, clients, cfg, test)
+    # the helper's work was joined before the round raised, and nothing moved
+    assert started.is_set() and len(finished) == expected
+    after = _state(server, clients)
+    assert after[0] == before[0] and np.array_equal(after[1], before[1]) and after[2] == before[2]
+    assert server.records and len(server.records) == 1
+
+    monkeypatch.undo()
+    rec = run_round(server, clients, cfg, test)
+    clients2, cfg2, fresh, test2 = spec_federation(spec, epsilon=4.0)
+    for _ in range(2):
+        want = run_round(fresh, clients2, cfg2, test2)
+    assert rec == want
+    assert np.array_equal(server.global_params, fresh.global_params)
+    assert [c.sigma_history for c in clients] == [c.sigma_history for c in clients2]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)

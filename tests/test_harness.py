@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udpfl import cli, harness
+from udpfl import cli, federation, harness
 from udpfl.accountant import PrivacyBudget, calibrate_sigma
 from udpfl.data import PartitionPlan, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
@@ -303,6 +306,27 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
         ]
     assert texts["a"] == texts["b"]
     assert texts["a"] == texts["c"]
+
+
+def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path, monkeypatch):
+    # rounds in this process make its helper thread; a forked worker inherits
+    # the executor but not the thread, and must make its own rather than wait on it
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
+    run_experiment(svm_cfg(tmp_path, output_dir=str(tmp_path / "serial")))
+    assert federation._helper_of_pid[0] == os.getpid()
+    parallel = svm_cfg(tmp_path, output_dir=str(tmp_path / "parallel"), workers=2)
+    outcome = []
+    job = threading.Thread(target=lambda: outcome.append(run_experiment(parallel)), daemon=True)
+    job.start()
+    job.join(timeout=120)
+    if job.is_alive():
+        for child in multiprocessing.active_children():
+            child.terminate()
+        pytest.fail("workers=2 did not finish within 120 s after rounds in the parent")
+    assert outcome and not outcome[0].errors
+    for s in (1, 2):
+        serial = (tmp_path / "serial" / f"seed_{s}" / "rounds.csv").read_bytes()
+        assert (tmp_path / "parallel" / f"seed_{s}" / "rounds.csv").read_bytes() == serial
 
 
 def test_noiseless_sentinel_run(tmp_path):

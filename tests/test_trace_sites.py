@@ -7,10 +7,12 @@ of this suite.  Both files are loaded read-only."""
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from udpfl import federation
 from udpfl.harness import (
     ExperimentConfig,
     build_model_spec,
@@ -62,3 +64,35 @@ def test_ledger_audit_sees_every_charged_round(scheduler):
     assert result.realized_T > 0
     assert [len(h) for _, _, h in run.ledgers] == [result.realized_T] * len(clients)
     assert checks.ledger_violations(run) == []
+
+
+@pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
+def test_traced_sites_run_only_on_the_main_thread(scheduler, monkeypatch):
+    # the tracer keeps one span stack, so the round's helper thread must call no traced site
+    layers = _load("layers")
+    threads = []
+
+    def noting(fn, name):
+        def site(*args, **kwargs):
+            threads.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+
+        return site
+
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
+    for owner, attr, name, _ in layers.SITES:
+        monkeypatch.setattr(owner, attr, noting(getattr(owner, attr), name))
+    draw = federation._draw_noise
+    monkeypatch.setattr(federation, "_draw_noise", noting(draw, "helper._draw_noise"))
+    cfg = ExperimentConfig(
+        model_kind="svm", data_source="synthetic", synth_dim=10, synth_n_test=100,
+        partition_mode="unbalanced", size_pattern=(10, 20, 30), U=6, K=4, T_init=6,
+        epsilon_p=6.0, delta_p=1e-3, clip_C=0.5, zeta=0.01, scheduler=scheduler,
+    ).resolved()
+    shards, train_eval, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    assert run_simulation(cfg, server, clients, fcfg, test).realized_T > 0
+    off_main = sorted({name for name, on_main in threads if not on_main})
+    # the helper ran (where the process may use two CPUs), and only the unwrapped seam
+    assert off_main == (["helper._draw_noise"] if federation._helper() else [])
+    assert {name for name, _ in threads} >= {"federation.run_round", "federation.sample_clients"}
