@@ -383,7 +383,7 @@ class MomentLedger:
         self.sigmas: list[float] = []
 
     def charge(self, sigma: float) -> None:
-        if sigma <= 0.0:
+        if not sigma > 0.0:  # NaN too
             raise ValueError(f"sigma must be > 0, got {sigma}")
         self.sigmas.append(sigma)
 

@@ -11,12 +11,11 @@ model on the clients' rows (loss) and on the test set (loss and accuracy).
 Per run, the server stacks the clients' rows in client order (``clients[i].id``
 must be i) and checks their labels once.  A round's train-loss forward pass is
 the one the next round's local steps start from, and one backward pass over it
-serves every selected client.  Each noised upload is added to one accumulator
-as it would be by ``add_noise`` then ``aggregate``, with the same rounding and
-client-id order, so no list of uploads is kept.
+serves every selected client.  Once the noise is drawn, each noised upload is
+added to one accumulator as it would be by ``add_noise`` then ``aggregate``,
+with the same rounding and client-id order.
 
-Each process has one helper thread, made on first use and again after a fork
-(a forked child inherits the executor but not its thread), and none where the
+Each process has one helper thread, made on first use, and none where the
 process may use one CPU only.  In a round it draws the noisy clients' standard
 normals, from generators the main thread builds, beside the backward pass and
 the local steps; then it evaluates the new model on the test set beside the
@@ -24,7 +23,11 @@ forward over the clients' rows.  A job reading under ``_HELPER_MIN_BYTES`` runs
 inline instead, since waking the helper would cost as much.  A helper job is a
 pure function of its arguments and writes only memory the main thread reads
 after joining it, so no output depends on where or when it ran; a round that
-fails joins its jobs before it raises.
+fails joins its jobs before it raises.  ``harness.run_experiment`` stops the
+helper before it forks its workers, so no fork copies a live thread (Python
+3.12 warns of that); a child forked some other way inherits the executor but
+not its thread, so the helper is made again whenever ``os.getpid()`` changes.
+Checked on Python 3.11 with the fork start method.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -207,6 +210,16 @@ def _helper() -> ThreadPoolExecutor | None:
     return pool
 
 
+def _stop_helper() -> None:
+    """Join and drop this process's helper, so a fork copies no live thread; the next
+    round makes one again."""
+    global _helper_of_pid
+    pid, pool = _helper_of_pid
+    if pool is not None and pid == os.getpid():
+        pool.shutdown()
+    _helper_of_pid = (None, None)
+
+
 @contextmanager
 def _on_helper(nbytes: int, fn, *args):
     """Run ``fn(*args)``, a job reading ``nbytes`` of arrays, beside the block: on the
@@ -294,8 +307,8 @@ def run_round(
     Order: refill the stacked forward if the parameters moved; noise scales
     (may raise ``BudgetExhausted``); selection; the helper draws the noisy
     selected clients' z while this thread runs the backward pass and the
-    clipped steps, and ``w * (local + sigma * z)`` is summed in client-id
-    order as the draws allow; the helper evaluates ``test_eval`` while this
+    clipped steps; once the draws are done, ``w * (local + sigma * z)`` is
+    summed in client-id order; the helper evaluates ``test_eval`` while this
     thread forwards the clients' rows.  Every helper job is joined before the
     round goes on or raises (the module docstring says why the thread
     schedule cannot show in the outputs).
@@ -314,10 +327,9 @@ def run_round(
         sigmas = _round_sigmas(clients, server.T)
     else:
         sigmas = {c.id: float(sigma_override[c.id]) for c in clients}
-        if any(sigmas[c.id] <= 0.0 for c in clients if not c.noiseless):
-            raise ValueError("sigma_override must be > 0 for every noisy client")
-        if min(sigmas.values()) < 0.0:
-            raise ValueError("sigma_override must be >= 0 for every client")
+        # rejects NaN too, which no upload or ledger may take
+        if not all(sigmas[c.id] > 0.0 or c.noiseless and sigmas[c.id] == 0.0 for c in clients):
+            raise ValueError("sigma_override must be > 0 for a noisy client, >= 0 for the rest")
     selected = sample_clients(len(clients), cfg.K, _selection_rng(cfg.seed, rnd))
 
     if cfg.weight_mode == "by_size":
@@ -326,7 +338,7 @@ def run_round(
     else:
         weights = [1.0 / cfg.K] * len(selected)
     _check_weights(weights)
-    noisy = [i for i in selected if sigmas[i] > 0.0]  # a noiseless upload draws nothing
+    noisy = [i for i in selected if sigmas[i] != 0.0]  # as add_noise: sigma 0 draws nothing
     rows = st.noise_rows(len(noisy))
     z = dict(zip(noisy, rows))
     # the generators are built on this thread: that work holds the GIL, the fill does not
@@ -335,18 +347,14 @@ def run_round(
     with _on_helper(rows.nbytes, _draw_noise, rngs, rows) as drawn:
         norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
         factors = _clip_factors(norms2, cfg.clip)
-        waiting = []  # clipped steps not yet summed, in client-id order
-        for i, w in zip(selected, weights):
-            # one full-batch clipped step from the global parameters (models.local_update)
-            step = params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
-            waiting.append((i, w, step))
-            if drawn.done() or i == selected[-1]:  # rounded as add_noise, then aggregate
-                drawn.result()
-                for j, wj, upload in waiting:
-                    if j in z:
-                        upload += np.multiply(z[j], sigmas[j], out=z[j])
-                    new_params += np.multiply(upload, wj, out=upload)
-                waiting.clear()
+        # one full-batch clipped step per client from the global parameters (models.local_update)
+        steps = [params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
+                 for i in selected]
+        drawn.result()
+        for i, w, upload in zip(selected, weights, steps):  # rounded as add_noise, then aggregate
+            if i in z:
+                upload += np.multiply(z[i], sigmas[i], out=z[i])
+            new_params += np.multiply(upload, w, out=upload)
 
     X_test, y_test = test_eval.features, test_eval.labels
     with _on_helper(X_test.nbytes, loss_and_accuracy, spec, new_params, X_test, y_test) as tested:

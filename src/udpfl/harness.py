@@ -60,6 +60,7 @@ from .federation import (
     FederationConfig,
     ServerState,
     TrainingResult,
+    _stop_helper,
     evaluate,
     run_round,
     run_training,
@@ -492,6 +493,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     started = time.monotonic()
     results = []
     if cfg.workers > 1 and len(cfg.seeds) > 1:
+        _stop_helper()
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [
                 pool.submit(_seed_job, cfg.to_dict(), seed, str(outdir))

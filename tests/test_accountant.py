@@ -406,5 +406,7 @@ def test_moment_ledger_rejects_bad_inputs():
     with pytest.raises(ValueError):
         led.charge(0.0)
     with pytest.raises(ValueError):
+        led.charge(float("nan"))
+    with pytest.raises(ValueError):
         led.within(extra_sigma=-1.0)
     assert led.sigmas == []  # a rejected charge records nothing

@@ -5,6 +5,9 @@ gradient descent loop written here from scratch (pooled data, no
 federation machinery).
 """
 
+import multiprocessing
+import os
+import sys
 import threading
 import time
 
@@ -554,6 +557,37 @@ def test_negative_sigma_override_rejected_before_any_charge():
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(server, clients, cfg, test, sigma_override={c.id: -0.1 for c in clients})
     assert server.t == 0 and np.array_equal(server.global_params, start)
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+def test_nan_sigma_override_rejected_before_any_draw_or_charge(noiseless, monkeypatch):
+    clients, cfg, server, test = spec_federation(SPECS[0], K=5, epsilon=INF if noiseless else 4.0)
+    start = server.global_params.copy()
+    draws = []
+    monkeypatch.setattr(federation, "_draw_noise", lambda rngs, block: draws.append(len(rngs)))
+    sigma_override = {c.id: float("nan") if c.id == 2 else 0.5 for c in clients}
+    with pytest.raises(ValueError, match="sigma_override"):
+        run_round(server, clients, cfg, test, sigma_override=sigma_override)
+    assert draws == [] and server.t == 0 and np.array_equal(server.global_params, start)
+    assert all(c.sigma_history == [] for c in clients)
+
+
+def _helper_runs_a_job_here():
+    helper = federation._helper()
+    sys.exit(helper.submit(os.getpid).result(timeout=30) != os.getpid())
+
+
+def test_child_forked_with_a_live_helper_makes_its_own():
+    helper = federation._helper()
+    if helper is None:
+        pytest.skip("this process may use one CPU only, so it has no helper")
+    assert helper.submit(os.getpid).result() == os.getpid()  # its thread is running
+    child = multiprocessing.get_context("fork").Process(target=_helper_runs_a_job_here)
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.terminate()
+    assert child.exitcode == 0  # it would wait forever on the parent's thread
 
 
 def _state(server, clients):

@@ -309,8 +309,8 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
 
 
 def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path, monkeypatch):
-    # rounds in this process make its helper thread; a forked worker inherits
-    # the executor but not the thread, and must make its own rather than wait on it
+    # rounds in this process make its helper thread; it is stopped before the
+    # workers are forked, and each worker makes its own
     monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
     run_experiment(svm_cfg(tmp_path, output_dir=str(tmp_path / "serial")))
     assert federation._helper_of_pid[0] == os.getpid()
@@ -324,6 +324,7 @@ def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path
             child.terminate()
         pytest.fail("workers=2 did not finish within 120 s after rounds in the parent")
     assert outcome and not outcome[0].errors
+    assert federation._helper_of_pid == (None, None)  # no live helper was forked
     for s in (1, 2):
         serial = (tmp_path / "serial" / f"seed_{s}" / "rounds.csv").read_bytes()
         assert (tmp_path / "parallel" / f"seed_{s}" / "rounds.csv").read_bytes() == serial
