@@ -5,6 +5,10 @@ IDX binary files on disk (located via an explicit path or the MNIST_DIR
 environment variable); nothing here downloads data implicitly — see
 ``fetch_mnist`` for the explicit opt-in download.
 
+A dataset with read-only features keeps what is computed from its rows in
+its memo, freed with it; its rows' squared norms are kept there, and a subset
+of it gathers or slices them instead of reading its rows again.
+
 Partitioning supports three client layouts:
 
 * ``iid`` — seeded shuffle, equal consecutive shards;
@@ -63,12 +67,19 @@ class Dataset:
 
     ``labels`` are either class indices 0..num_classes-1 or, for binary
     margin models, the values +1/-1 (num_classes == 2 in that case).
+
+    A ``subset`` of read-only data records ``rows_of = (source, rows)``: the
+    dataset its rows were taken from and the index array or slice that took
+    them.  ``memo`` keeps values computed from the rows with the dataset, so
+    they live as long as it does.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
     provenance: str = "unknown"
+    rows_of: tuple | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         f, l = self.features, self.labels
@@ -95,7 +106,49 @@ class Dataset:
             self.labels[indices],
             self.num_classes,
             self.provenance,
+            rows_of=None if self.features.flags.writeable else (self, indices),
         )
+
+    def memo(self, name: str, compute):
+        """``compute(self)``, called on the first request for ``name`` only; the
+        caller keeps it valid, as it is for read-only features."""
+        if name not in self._memo:
+            self._memo[name] = compute(self)
+        return self._memo[name]
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's squared norm, bitwise ``(x * x).sum(1)`` of the float rows;
+        read-only.
+
+        Read-only features are taken never to change: they keep it in the
+        memo, and a read-only subset of read-only data gathers or slices its
+        source's, which are computed once, in row blocks, for every row of the
+        source.  Writable features may change, so theirs is computed on each
+        request.
+        """
+        if self.features.flags.writeable:
+            return _sq_norms(self)
+        return self.memo("sq_norms", _sq_norms)
+
+
+def _row_blocks(n: int, dim: int):
+    """Slices covering rows 0..n-1 in blocks of about 1 MiB of float64."""
+    step = max(1, (1 << 20) // (8 * max(dim, 1)))
+    return (slice(a, a + step) for a in range(0, n, step))
+
+
+def _sq_norms(ds: Dataset) -> np.ndarray:
+    if ds.rows_of is not None and not ds.features.flags.writeable:
+        source, rows = ds.rows_of
+        norms = source.sq_norms[rows]
+    else:
+        norms = np.empty(len(ds))
+        for r in _row_blocks(len(ds), ds.feature_dim):
+            x = np.asarray(ds.features[r], dtype=float)
+            np.sum(x * x, axis=1, out=norms[r])
+    norms.flags.writeable = False
+    return norms
 
 
 @dataclass(frozen=True)
@@ -246,10 +299,13 @@ def synth_linear(n: int, dim: int, margin: float, seed: int) -> Dataset:
     u /= np.linalg.norm(u)
     y = np.concatenate([np.ones(n // 2 + n % 2, dtype=np.int64), -np.ones(n // 2, dtype=np.int64)])
     rng.shuffle(y)
-    z = rng.normal(size=(n, dim))
-    z -= np.outer(z @ u, u)  # component orthogonal to the separator normal
+    feats = rng.normal(size=(n, dim))
+    across = feats @ u
     along = y * (margin / 2.0 + np.abs(rng.normal(size=n)))
-    feats = z + np.outer(along, u)
+    # in place, a row block at a time, the same bits as z - outer(z @ u, u) + outer(along, u)
+    for r in _row_blocks(n, dim):
+        feats[r] -= np.outer(across[r], u)  # component orthogonal to the separator normal
+        feats[r] += np.outer(along[r], u)
     return Dataset(feats, y, num_classes=2, provenance="synthetic")
 
 

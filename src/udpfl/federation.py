@@ -271,7 +271,9 @@ class _Stacked:
         self.X, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
         ends = np.cumsum([len(x) for x in self.X])
         self.rows = [slice(e - len(x), e) for x, e in zip(self.X, ends)]
-        self.y, self.sq_norms = np.concatenate(ys), np.concatenate([(x * x).sum(1) for x in self.X])
+        # the shards' memoized row norms: one view if they are consecutive slices of one gather
+        self.y = np.concatenate(ys)
+        self.sq_norms = _row_stack(tuple(s.sq_norms for s in self.shards))
         self.fwd = _forward_buffers(spec, _row_stack(self.X))
         self.noise = np.empty((0, len(params)))
 

@@ -282,6 +282,8 @@ def _derived_seed(seed: int, tag: int) -> np.random.SeedSequence:
 
 
 _pool: dict = {}  # this process's data pool, at most one: {pool key: (train, test)}
+# memo name of a train_eval's flag: its partition holds every row of the pool it gathers
+_COVERS_POOL = "covers_pool"
 
 
 def _file_key(path) -> tuple:
@@ -333,6 +335,12 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     and mtime (as with CPython's .pyc check, a rewrite that keeps all three is
     not reloaded).  Per seed, ``train_eval`` gathers the shard rows once,
     read-only, and each shard is a row-range view of it.
+
+    The pool's row norms and the eta guard's L are computed on first use, not
+    here, and kept with the pool (``Dataset.sq_norms``, ``Dataset.memo``), so
+    every later seed reuses them.  Only a partition that covers every pool row
+    shares the pool's L: every synthetic pool is sized to its partition, while
+    MNIST and CSV partitions with rows to spare pay for their own.
     """
     train, test = _data_pool(cfg)
     plan = PartitionPlan(
@@ -343,7 +351,10 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     )
     part_seed = _derived_seed(seed, _TAG_PARTITION)
     shard_idx = partition(train, plan, cfg.U, part_seed)
-    train_eval = _read_only(train.subset(np.concatenate(shard_idx)))
+    rows = np.concatenate(shard_idx)
+    train_eval = _read_only(train.subset(rows))
+    # the index arrays are disjoint, so as many rows as the pool holds are all of them
+    train_eval.memo(_COVERS_POOL, lambda _: len(rows) == len(train))
     ends = np.cumsum([len(idx) for idx in shard_idx])
     shards = [train_eval.subset(slice(e - len(idx), e)) for idx, e in zip(shard_idx, ends)]
     return shards, train_eval, test
@@ -356,13 +367,39 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
     )
 
 
+def _gram_top(datasets) -> float:
+    """Top eigenvalue of the datasets' summed row Gram matrix over their row count."""
+    gram = sum(d.features.T @ d.features for d in datasets)
+    return float(np.linalg.eigvalsh(gram / sum(len(d) for d in datasets)).max())
+
+
+def _covered_pool(shards) -> Dataset | None:
+    """The pool whose rows ``shards`` hold, if they are every shard, in order, of one
+    ``load_experiment_data`` partition that covers every pool row; else None."""
+    whole = shards[0].rows_of[0] if shards and shards[0].rows_of else None
+    if whole is None or not whole.memo(_COVERS_POOL, lambda _: False):
+        return None
+    at = 0
+    for s in shards:
+        source, rows = s.rows_of or (None, None)
+        if source is not whole or not isinstance(rows, slice) or rows != slice(at, at + len(s)):
+            return None
+        at += len(s)
+    return whole.rows_of[0] if at == len(whole) else None
+
+
 def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
     # the convergence theory needs eta <= 1/L; only the convex models have a
-    # cheaply estimable L (top Gram eigenvalue + ridge), so gate on those
+    # cheaply estimable L (top Gram eigenvalue + ridge), so gate on those.
+    # Shards holding every pool row share the pool's value, in pool row order,
+    # so it is computed once per pool and is the same for every seed.
     if spec.kind == "mlp" or spec.input_dim > 2000:
         return
-    gram = sum(s.features.T @ s.features for s in shards)
-    gram_top = float(np.linalg.eigvalsh(gram / sum(len(s) for s in shards)).max())
+    pool = _covered_pool(shards)
+    if pool is None:
+        gram_top = _gram_top(shards)
+    else:
+        gram_top = pool.memo("gram_top", lambda ds: _gram_top([ds]))
     L = gram_top + (cfg.kappa if spec.kind == "svm" else 0.0)
     if spec.kind == "logistic":
         L = 0.5 * (gram_top + 1.0)  # bias-augmented, softmax curvature <= 1/2

@@ -141,6 +141,80 @@ def test_synth_linear_is_separable_by_training():
     assert accuracy(spec, w, ds.features, ds.labels) == 1.0
 
 
+def synth_linear_outer(n, dim, margin, seed):
+    """The generator's formula with two full-size outer products: the reference."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    y = np.concatenate([np.ones(n // 2 + n % 2, dtype=np.int64), -np.ones(n // 2, dtype=np.int64)])
+    rng.shuffle(y)
+    z = rng.normal(size=(n, dim))
+    z -= np.outer(z @ u, u)
+    along = y * (margin / 2.0 + np.abs(rng.normal(size=n)))
+    return z + np.outer(along, u), y
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (7, 3), (5000, 100), (600, 784)])
+def test_synth_linear_in_place_matches_outer_product_formula(n, dim):
+    # the larger shapes span several row blocks
+    ds = synth_linear(n, dim, margin=0.7, seed=n + dim)
+    feats, labels = synth_linear_outer(n, dim, 0.7, n + dim)
+    assert ds.features.tobytes() == feats.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda X: X,
+        lambda X: read_only(X),
+        lambda X: read_only(np.asfortranarray(X)),
+        lambda X: np.rint(X * 10).astype(np.int64),
+        lambda X: read_only(X[:, :1].copy()),
+    ],
+    ids=["writable", "read_only", "fortran", "int", "one_column"],
+)
+def test_sq_norms_are_bitwise_row_sums_of_squares(make):
+    # 3000 rows of 100 floats span three row blocks
+    feats = make(np.random.default_rng(0).normal(size=(3000, 100)))
+    ds = Dataset(feats, np.ones(3000, dtype=np.int64), 2)
+    x = np.asarray(feats, dtype=float)
+    assert ds.sq_norms.tobytes() == (x * x).sum(1).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ds.sq_norms[0] = 0.0
+
+
+def test_sq_norms_are_kept_only_for_read_only_rows():
+    X = np.random.default_rng(1).normal(size=(50, 4))
+    writable = Dataset(X, np.ones(50, dtype=np.int64), 2)
+    before = writable.sq_norms
+    X[0] *= 2.0
+    assert writable.sq_norms[0] == 4.0 * before[0]  # computed again from the new rows
+    assert writable.subset(slice(10)).rows_of is None
+    frozen = Dataset(read_only(X.copy()), np.ones(50, dtype=np.int64), 2)
+    assert frozen.sq_norms is frozen.sq_norms
+
+
+def test_read_only_subsets_take_their_sources_sq_norms(monkeypatch):
+    X = read_only(np.random.default_rng(2).normal(size=(40, 6)))
+    source = Dataset(X, np.ones(40, dtype=np.int64), 2)
+    rows = np.random.default_rng(3).permutation(40)[:25]
+    gathered = source.subset(rows)
+    gathered.features.flags.writeable = False
+    view = gathered.subset(slice(5, 15))
+    assert gathered.rows_of[0] is source and view.rows_of[0] is gathered
+    assert view.sq_norms.tobytes() == (view.features * view.features).sum(1).tobytes()
+    # the source computed its norms once, for every row; the subsets took theirs from it
+    assert source._memo["sq_norms"].tobytes() == (X * X).sum(1).tobytes()
+    assert np.shares_memory(view.sq_norms, gathered.sq_norms)
+    assert gathered.sq_norms.tobytes() == source.sq_norms[rows].tobytes()
+
+
 def make_multiclass(n_per_class, num_classes, seed=0):
     rng = np.random.default_rng(seed)
     n = n_per_class * num_classes

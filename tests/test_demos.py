@@ -41,10 +41,19 @@ def test_readme_quickstart_runs(tmp_path):
 
 
 def test_reference_outputs_prints_the_same_hashes_twice(tmp_path):
-    tool = str(ROOT / "tools" / "reference_outputs.py")
-    first, again = (run_python([tool, str(tmp_path / "ref")], tmp_path) for _ in range(2))
+    tool, outdir = str(ROOT / "tools" / "reference_outputs.py"), str(tmp_path / "ref")
+    first = run_python([tool, outdir], tmp_path)
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
     assert len(lines) == 33  # rounds.csv and summary.json of 16 seed runs, pilot_norms.csv
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines)
-    assert again.stdout == first.stdout
+    listing = tmp_path / "listing.txt"
+    listing.write_text(first.stdout)
+    again = run_python([tool, outdir, "--check", str(listing)], tmp_path)
+    assert (again.returncode, again.stdout, again.stderr) == (0, first.stdout, "")
+    # --check names a changed hash, a missing output and an extra one, and fails
+    changed, missing = (line.split(" ", 1)[1] for line in lines[:2])
+    listing.write_text("\n".join(["0" * 64 + " " + changed, *lines[2:], "f" * 64 + " extra.csv"]))
+    third = run_python([tool, outdir, "--check", str(listing)], tmp_path)
+    assert third.returncode == 1
+    assert re.findall(r"differs: (\S+)", third.stderr) == sorted([changed, missing, "extra.csv"])

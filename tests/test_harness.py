@@ -1,11 +1,13 @@
 """Config, runner, sweep, and report-table tests."""
 
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udpfl import cli, federation, harness
-from udpfl.accountant import PrivacyBudget, calibrate_sigma
-from udpfl.data import PartitionPlan, partition, synth_linear
+from udpfl.accountant import MomentLedger, PrivacyBudget, calibrate_sigma
+from udpfl.data import Dataset, PartitionPlan, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
     ROUNDS_COLUMNS,
@@ -37,7 +39,7 @@ from udpfl.harness import (
     sweep,
     verify_accountant,
 )
-from udpfl.models import HINGE_FORMS
+from udpfl.models import HINGE_FORMS, init_params
 from udpfl.scheduler import CrdConfig
 
 SVM_BASE = dict(
@@ -630,6 +632,153 @@ def test_missing_data_file_is_not_cached(tmp_path, fresh_pool):
     write_labelled_csv(path, 40)
     _, train_eval, _ = load_experiment_data(cfg, 1)
     assert len(train_eval) == 40
+
+
+# --- the pool's memo: row norms and the eta guard's L ---
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The row count of every Gram the eta guard computes."""
+    calls, real = [], harness._gram_top
+
+    def spy(datasets):
+        calls.append(sum(len(d) for d in datasets))
+        return real(datasets)
+
+    monkeypatch.setattr(harness, "_gram_top", spy)
+    return calls
+
+
+def per_shard_message(cfg, shards):
+    """The guard's message from the shards' own summed Gram: the reference formula."""
+    gram = sum(s.features.T @ s.features for s in shards)
+    L = float(np.linalg.eigvalsh(gram / sum(len(s) for s in shards)).max()) + cfg.kappa
+    return f"eta={cfg.eta} exceeds 1/L={1.0 / L:.6g} estimated from the data"
+
+
+def guard_message(cfg, shards, spec):
+    with pytest.raises(ConfigError) as exc:
+        build_simulation(cfg, 1, shards, spec)
+    (message,) = exc.value.violations
+    return message
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{}, dict(partition_mode="unbalanced", shard_size=None, size_pattern=(10, 20, 30), U=6)],
+    ids=["iid", "unbalanced"],
+)
+def test_covering_partition_computes_the_gram_once_per_pool(
+    tmp_path, fresh_pool, gram_calls, over
+):
+    cfg = svm_cfg(tmp_path, eta=50.0, **over).check()
+    for seed in (1, 2, 3):
+        shards, train_eval, _ = load_experiment_data(cfg, seed)
+        spec = build_model_spec(cfg, train_eval)
+        assert guard_message(cfg, shards, spec) == per_shard_message(cfg, shards)
+    pool, _ = harness._data_pool(cfg)
+    assert gram_calls == [len(pool)]  # the first seed's, over the pool; none after
+
+
+def test_hand_built_shards_compute_their_own_gram(tmp_path, fresh_pool, gram_calls):
+    cfg = svm_cfg(tmp_path, eta=50.0).check()
+    shards, train_eval, _ = load_experiment_data(cfg, 1)
+    spec = build_model_spec(cfg, train_eval)
+    pool, _ = harness._data_pool(cfg)
+    n, size = len(pool), cfg.shard_size
+
+    def slices(whole):
+        return [whole.subset(slice(a, a + size)) for a in range(0, n, size)]
+
+    other = harness._read_only(synth_linear(n, cfg.synth_dim, 1.0, cfg.data_seed + 1))
+    variants = {
+        "other_rows": slices(harness._read_only(other.subset(np.arange(n)[::-1]))),
+        "repeated_pool_row": slices(harness._read_only(pool.subset(np.zeros(n, dtype=np.intp)))),
+        "rebuilt": [Dataset(s.features.copy(), s.labels.copy(), 2) for s in shards],
+        "reordered": shards[::-1],
+        "one_short": shards[:-1],
+        "gathered_by_index": [train_eval.subset(np.arange(a, a + size)) for a in range(0, n, size)],
+    }
+    for name, hand in variants.items():
+        before = len(gram_calls)
+        assert guard_message(cfg, hand, spec) == per_shard_message(cfg, hand), name
+        assert gram_calls[before:] == [sum(map(len, hand))], name
+    guard_message(cfg, shards, spec)
+    assert gram_calls[len(variants):] == [n]  # the pool's, for the partition itself
+
+
+@pytest.mark.parametrize(
+    "rows, per_seed", [(60, True), (40, False)], ids=["spare_rows", "covering"]
+)
+def test_csv_partition_shares_the_pools_gram_only_if_it_covers_it(
+    tmp_path, fresh_pool, gram_calls, rows, per_seed
+):
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, rows)
+    cfg = svm_cfg(
+        tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10, eta=50.0
+    ).check()
+    for seed in (1, 2):
+        shards, train_eval, _ = load_experiment_data(cfg, seed)
+        spec = build_model_spec(cfg, train_eval)
+        assert guard_message(cfg, shards, spec) == per_shard_message(cfg, shards)
+    assert gram_calls == ([40, 40] if per_seed else [40])
+
+
+def stacked(spec, shards):
+    ledger = MomentLedger(PrivacyBudget(math.inf, 1e-3), 1.0, 1.0)
+    clients = [federation.ClientState(i, s, ledger) for i, s in enumerate(shards)]
+    return federation._Stacked(spec, init_params(spec, np.random.default_rng(0)), clients)
+
+
+def test_stacked_sq_norms_are_the_shards_row_sums_of_squares(tmp_path, fresh_pool):
+    covering = svm_cfg(tmp_path).check()
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, 60)
+    spare = svm_cfg(tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10).check()
+    X = np.random.default_rng(4).normal(size=(30, covering.synth_dim))
+    signs = np.where(np.arange(30) % 2, 1, -1)
+    hand = [
+        Dataset(X[:10], signs[:10], 2),
+        Dataset(np.asfortranarray(X[10:25]), signs[10:25], 2),
+        Dataset(np.rint(X[25:] * 10).astype(np.int64), signs[25:], 2),
+    ]
+    cases = [load_experiment_data(cfg, 1)[:2] for cfg in (covering, spare)]
+    cases.append((hand, Dataset(X, signs, 2)))
+    for shards, train_eval in cases:
+        st = stacked(build_model_spec(covering, train_eval), shards)
+        want = [(x * x).sum(1) for x in (np.asarray(s.features, dtype=float) for s in shards)]
+        assert st.sq_norms.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_eta_guard_errors_match_across_worker_counts(tmp_path, fresh_pool):
+    # workers=2 first, so each process computes L from its own pool
+    parallel = run_experiment(
+        svm_cfg(tmp_path, eta=50.0, seeds=(1, 2, 3), workers=2, output_dir=str(tmp_path / "p"))
+    )
+    serial = run_experiment(
+        svm_cfg(tmp_path, eta=50.0, seeds=(1, 2, 3), output_dir=str(tmp_path / "s"))
+    )
+    assert set(serial.errors) == {"1", "2", "3"} and not serial.outputs
+    assert parallel.errors == serial.errors
+    assert len(set(serial.errors.values())) == 1  # one pool, one L, whatever the seed
+
+
+def test_old_pool_and_its_memo_die_with_the_pool_slot(tmp_path, fresh_pool):
+    cfg = svm_cfg(tmp_path).check()
+    assert not run_experiment(cfg).errors
+    pool, _ = harness._data_pool(cfg)
+    shards, train_eval, _ = load_experiment_data(cfg, 3)
+    for ds in (pool, train_eval, *shards):
+        with pytest.raises(ValueError, match="read-only"):
+            ds.sq_norms[0] = 0.0
+    assert {"sq_norms", "gram_top"} <= set(pool._memo)
+    refs = [weakref.ref(a) for a in (pool, pool.features, pool._memo["sq_norms"], train_eval)]
+    del pool, shards, train_eval, ds
+    load_experiment_data(dataclasses.replace(cfg, data_seed=cfg.data_seed + 1), 1)
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 # --- cli ---

@@ -4,8 +4,11 @@ A pure refactor proves itself by printing the same hashes as its parent
 commit, run with the same output directory:
 
     python3 tools/reference_outputs.py /tmp/ref > parent.txt   # parent checkout
-    python3 tools/reference_outputs.py /tmp/ref > change.txt   # changed checkout
-    diff parent.txt change.txt
+    python3 tools/reference_outputs.py /tmp/ref --check parent.txt   # changed checkout
+
+``--check FILE`` still prints the hashes, then names on standard error every
+output whose hash differs from FILE's or that only one side has, and exits 1
+if there is one.
 
 The set covers every scheduler (fixed, crd, decay), both SVM hinges, the
 unbalanced partition with equal weights, logistic regression on CSV files,
@@ -16,6 +19,7 @@ pilot.  Inputs are generated under ``<dir>/inputs``; outputs go to
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import shutil
 import sys
@@ -73,7 +77,8 @@ def write_csv(directory: Path, sizes: dict) -> None:
         (directory / f"{split}.csv").write_text("\n".join(["x0,x1,x2,x3,x4,x5,label", *rows, ""]))
 
 
-def main(outdir: Path) -> None:
+def main(outdir: Path) -> list:
+    """Run every reference config; print and return one ``"<sha256> <path>"`` per output."""
     inputs, runs = outdir / "inputs", outdir / "runs"
     inputs.mkdir(parents=True, exist_ok=True)
     shutil.rmtree(runs, ignore_errors=True)
@@ -87,12 +92,32 @@ def main(outdir: Path) -> None:
         if manifest.errors:
             sys.exit(f"{name}: {manifest.errors}")
     pilot_clip(ExperimentConfig.from_dict(dict(MLP, **paths)), rounds=2, outdir=runs / "pilot")
-    for path in sorted(runs.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(runs))
+    lines = [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()} {path.relative_to(runs)}"
+        for path in sorted(runs.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    ]
+    print("\n".join(lines))
+    return lines
+
+
+def differing(lines: list, expected: list) -> list:
+    """Output paths whose hash differs between the two listings, or that one lacks."""
+    ours, theirs = (
+        dict(reversed(line.split(" ", 1)) for line in listing if line)
+        for listing in (lines, expected)
+    )
+    return sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUTPUT_DIR")
-    main(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("outdir", type=Path, help="inputs go to OUTDIR/inputs, runs to OUTDIR/runs")
+    parser.add_argument("--check", type=Path, metavar="FILE", help="an earlier listing to compare")
+    args = parser.parse_args()
+    lines = main(args.outdir)
+    if args.check is not None:
+        diff = differing(lines, args.check.read_text().splitlines())
+        for path in diff:
+            print(f"differs: {path}", file=sys.stderr)
+        sys.exit(1 if diff else 0)
