@@ -43,6 +43,16 @@ def _num_list(text: str) -> list:
     return out
 
 
+def _int_list(text: str, option: str) -> list:
+    """``_num_list`` for an option that takes integers only: a float is an error, not
+    truncated."""
+    values = _num_list(text)
+    bad = [v for v in values if not isinstance(v, int)]
+    if bad:
+        raise ValueError(f"{option} takes integers, got {', '.join(map(repr, bad))}")
+    return values
+
+
 def _config_with_overrides(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
     overrides = {}
@@ -60,7 +70,7 @@ def _config_with_overrides(args) -> ExperimentConfig:
         if value is not None:
             overrides[field] = value
     if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in _num_list(args.seeds))
+        overrides["seeds"] = tuple(_num_list(args.seeds))  # validate() rejects a non-int
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -124,12 +134,12 @@ def _cmd_accountant(args) -> int:
                 return 2
             from .accountant import sensitivity as _sens
 
-            sens = [_sens(args.eta, args.clip, n) for n in _num_list(args.n_samples)]
+            sens = [_sens(args.eta, args.clip, n) for n in _int_list(args.n_samples, "--n-samples")]
         rows = calibration_table(
             _num_list(args.epsilon),
             _num_list(args.delta),
             _num_list(args.q),
-            [int(t) for t in _num_list(args.T)],
+            _int_list(args.T, "--T"),
             sens,
         )
         text = calibration_csv(rows)

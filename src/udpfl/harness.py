@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -223,6 +224,9 @@ class ExperimentConfig:
             v.append(f"slope_fraction must be >= 0, got {cfg.slope_fraction}")
         if not cfg.seeds:
             v.append("seeds must be nonempty")
+        bad_seeds = [s for s in cfg.seeds if not (_is_int(s) and s >= 0)]  # as SeedSequence
+        if bad_seeds:
+            v.append(f"seeds must be ints >= 0, got {bad_seeds}")
         if cfg.workers < 1:
             v.append(f"workers must be >= 1, got {cfg.workers}")
         # round-0 noise calibration must be well-posed before any data loads
@@ -248,6 +252,11 @@ class ExperimentConfig:
         if violations:
             raise ConfigError(violations)
         return self.resolved()
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy int, and not a bool, which Python counts as an int."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -588,6 +597,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    values = list(values)
+    if axis in ("T", "T_init"):  # round counts: a float would be truncated
+        bad = [x for x in values if not _is_int(x)]
+        if bad:
+            raise ValueError(f"axis {axis} takes integers, got {bad}")
     cfg = cfg.check()
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     rows, errors = [], {}

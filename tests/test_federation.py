@@ -531,6 +531,24 @@ def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
     assert len({r.selected for r in server.records}) > 1
 
 
+@pytest.mark.parametrize("min_bytes", [0, 1 << 62], ids=["helper", "inline"])
+@pytest.mark.parametrize("epsilon", [INF, 4.0], ids=["noiseless", "noisy"])
+def test_mnist_shape_stacked_rounds_equal_per_client_bitwise(epsilon, min_bytes, monkeypatch):
+    """The MNIST runs' layer widths, where BLAS picks kernels by shape, and a 1-row shard,
+    which numpy sends through gemv alone but through gemm inside the stacked rows."""
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    spec = ModelSpec("mlp", input_dim=784, num_classes=10, hidden_dim=32)
+    sizes = (200, 37, 401, 128, 1)
+    clients, cfg, server, test = spec_federation(spec, sizes, K=4, epsilon=epsilon, seed=1)
+    server.global_params = init_params(spec, np.random.default_rng(3))  # softmax not saturated
+    want = server.global_params.copy()
+    for rnd in range(3):
+        rec = run_round(server, clients, cfg, test)
+        want = noisy_reference_round(spec, want, clients, cfg, rnd, rec.sigma_by_client)
+        assert np.array_equal(server.global_params, want)
+    assert {i for r in server.records for i in r.selected} == set(range(len(sizes)))
+
+
 def test_noiseless_client_beside_noisy_ones_uploads_its_local_step_exactly(monkeypatch):
     spec = SPECS[0]
     clients, cfg, server, test = spec_federation(spec, K=5, epsilon=4.0)

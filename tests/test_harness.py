@@ -103,6 +103,16 @@ def test_validation_checks_constructor_constants(key, allowed):
         assert ExperimentConfig.from_dict(dict(SVM_BASE, **{key: value})).validate() == []
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
+def test_validation_rejects_a_seed_that_is_not_an_int_ge_0(tmp_path, seed):
+    cfg = svm_cfg(tmp_path, seeds=[2, seed])
+    assert cfg.validate() == [f"seeds must be ints >= 0, got {[seed]}"]
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+    assert svm_cfg(tmp_path, seeds=[0, np.int64(2)]).validate() == []
+
+
 def test_eta_defaults_per_model_kind():
     assert ExperimentConfig(model_kind="svm").resolved().eta == 0.01
     assert ExperimentConfig(model_kind="mlp").resolved().eta == 0.05
@@ -815,6 +825,30 @@ def test_cli_override_precedence(tmp_path, capsys):
     _, rows = read_rounds(tmp_path / "ovr" / "seed_3" / "rounds.csv")
     assert len(rows) == 4
     assert rows[0]["T_current"] == "4"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--seeds", "1.5,2.9"], "seeds must be ints >= 0, got [1.5, 2.9]"),
+        (["accountant", "--T", "150.5", "--sensitivity", "0.01"], "--T takes integers, got 150.5"),
+        (
+            ["accountant", "--eta", "0.1", "--clip", "1", "--n-samples", "800,800.5"],
+            "--n-samples takes integers, got 800.5",
+        ),
+        (["sweep", "--axis", "T", "--values", "150.5"], "axis T takes integers, got [150.5]"),
+    ],
+    ids=["run-seeds", "accountant-T", "accountant-n-samples", "sweep-T"],
+)
+def test_cli_rejects_a_non_integer_where_it_takes_integers(tmp_path, capsys, argv, message):
+    if argv[0] != "accountant":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(svm_cfg(tmp_path).to_dict()))
+        argv = [*argv, "--config", str(cfg_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.startswith("udpfl: error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):

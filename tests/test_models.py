@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udpfl import models
 from udpfl.models import (
     ModelSpec,
+    _forward,
+    _forward_buffers,
     Sample,
     accuracy,
     clipped_gradient_sum,
@@ -218,6 +221,50 @@ def test_clipped_gradient_sum_clips_a_single_sample(spec_index, seed, scale, cli
         assert np.array_equal(out, g)
     elif norm > clip:
         assert rel_err(out / np.linalg.norm(out), g / norm) < 1e-9
+
+
+@pytest.mark.parametrize("feature_major", [False, True], ids=["row-major", "feature-major"])
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_forward_into_row_ranges_of_either_layout_equals_a_fresh_pass_bitwise(
+    spec, n, feature_major
+):
+    rng = np.random.default_rng(71)
+    params = rng.normal(scale=0.5, size=param_count(spec))
+    X, _ = make_batch(spec, n + 5, 72)
+    inputs, pre, scores = _forward_buffers(spec, X, feature_major)
+    hidden = [*inputs[1:], *pre]
+    assert len(hidden) == 2 * (spec.kind == "mlp")
+    for A in hidden:  # feature-major: laid out as the transpose of a C (hidden, rows) array
+        assert A.shape == (n + 5, spec.hidden_dim)
+        assert (A.T if feature_major else A).flags.c_contiguous
+    # rows 3..n+3 of the buffers take a pass in place, as _Stacked.fill writes one client's
+    r = slice(3, n + 3)
+    got = _forward(spec, params, X[r], ([A[r] for A in inputs], [Z[r] for Z in pre], scores[r]))
+    want = _forward(spec, params, X[r], _forward_buffers(spec, X[r], feature_major))
+    for a, b in zip([*got[0], *got[1], got[2]], [*want[0], *want[1], want[2]]):
+        assert np.array_equal(a, b)
+
+
+def test_scoring_passes_are_feature_major_and_passes_for_the_backward_row_major(monkeypatch):
+    spec = SPECS[3]
+    params = np.random.default_rng(73).normal(scale=0.5, size=param_count(spec))
+    X, y = make_batch(spec, 37, 74)
+    seen, forward = [], models._forward
+
+    def spy(*args):
+        fwd = forward(*args)
+        seen.append(fwd[1][0].T.flags.c_contiguous)  # the pre-activation, (37, 4)
+        return fwd
+
+    monkeypatch.setattr(models, "_forward", spy)
+    loss(spec, params, X, y)
+    predict(spec, params, X)
+    loss_and_accuracy(spec, params, X, y)
+    assert seen == [True] * 3
+    local_update(spec, params, X, y, 0.1, 0.5)
+    per_sample_grad_norms(spec, params, X, y)
+    assert seen == [True] * 3 + [False] * 2
 
 
 def test_mlp_init_is_bounded_and_seeded():

@@ -10,6 +10,16 @@ commit, run with the same output directory:
 output whose hash differs from FILE's or that only one side has, and exits 1
 if there is one.
 
+A change that is meant to move the numbers a little shows how far with
+``--against OLD_OUTDIR``, an output directory the parent checkout filled:
+
+    python3 tools/reference_outputs.py /tmp/new --against /tmp/ref
+
+For every CSV or JSON output that differs, it prints on standard error the
+largest relative difference of each numeric field (a CSV column, or a JSON key
+path whose list items share the name ``key[]``) and names every other field
+that changed; it exits 1 if any output differs.
+
 The set covers every scheduler (fixed, crd, decay), both SVM hinges, the
 unbalanced partition with equal weights, logistic regression on CSV files,
 the MLP on MNIST-format IDX files (with noise and without) and the clip-norm
@@ -20,7 +30,10 @@ pilot.  Inputs are generated under ``<dir>/inputs``; outputs go to
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -110,14 +123,99 @@ def differing(lines: list, expected: list) -> list:
     return sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p))
 
 
+def _fields(path: Path) -> dict:
+    """A CSV output's columns, or a JSON output's key paths, each with its values in order."""
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(path.read_text().splitlines())
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    fields = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v, f"{key}[]")
+        else:
+            fields.setdefault(key, []).append(value)
+
+    walk(json.loads(path.read_text()), "")
+    return fields
+
+
+def _number(value):
+    """``value`` as a float if it is a number or a numeric string, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _rel_diff(a: float, b: float) -> float:
+    if a == b or math.isnan(a) and math.isnan(b):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def field_report(new: Path, old: Path) -> list:
+    """One line per field of two versions of a CSV or JSON output: the largest relative
+    difference of a numeric field, or the name of any other field that changed."""
+    ours, theirs = _fields(new), _fields(old)
+    lines = []
+    for name in [*theirs, *(k for k in ours if k not in theirs)]:
+        a, b = ours.get(name), theirs.get(name)
+        if a is None or b is None or len(a) != len(b):
+            lines.append(f"{name}: changed ({len(b or ())} -> {len(a or ())} values)")
+            continue
+        pairs = [(_number(x), _number(y)) for x, y in zip(a, b)]
+        if all(x is not None and y is not None for x, y in pairs):
+            worst = max((_rel_diff(x, y) for x, y in pairs), default=0.0)
+            lines.append(f"{name}: max rel diff {worst:.3g}")
+        elif a != b:
+            lines.append(f"{name}: changed")
+    return lines
+
+
+def against(outdir: Path, old: Path) -> list:
+    """A report on every output under ``outdir/runs`` that differs from ``old/runs``."""
+    ours, theirs = outdir / "runs", old / "runs"
+    names = {
+        p.relative_to(root)
+        for root in (ours, theirs)
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "manifest.json"
+    }
+    lines = []
+    for name in sorted(names):
+        new, prev = ours / name, theirs / name
+        if not (new.is_file() and prev.is_file()):
+            lines.append(f"{name}: only in {ours if new.is_file() else theirs}")
+        elif new.read_bytes() != prev.read_bytes():
+            lines.append(f"{name}:")
+            if new.suffix in (".csv", ".json"):
+                lines += [f"  {line}" for line in field_report(new, prev)]
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("outdir", type=Path, help="inputs go to OUTDIR/inputs, runs to OUTDIR/runs")
     parser.add_argument("--check", type=Path, metavar="FILE", help="an earlier listing to compare")
+    parser.add_argument(
+        "--against", type=Path, metavar="OLD_OUTDIR", help="an earlier output directory to diff"
+    )
     args = parser.parse_args()
-    lines = main(args.outdir)
+    lines, report = main(args.outdir), []
     if args.check is not None:
-        diff = differing(lines, args.check.read_text().splitlines())
-        for path in diff:
-            print(f"differs: {path}", file=sys.stderr)
-        sys.exit(1 if diff else 0)
+        report += [
+            f"differs: {path}" for path in differing(lines, args.check.read_text().splitlines())
+        ]
+    if args.against is not None:
+        report += against(args.outdir, args.against)
+    print("\n".join(report), file=sys.stderr, end="\n" if report else "")
+    sys.exit(1 if report else 0)
