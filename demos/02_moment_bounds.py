@@ -10,8 +10,8 @@ from udpfl.accountant import (
     moment_bound,
     regime_ratio,
     sensitivity,
+    verify_accountant,
 )
-from udpfl.harness import verify_accountant
 
 dl = sensitivity(eta=0.05, clip=1.0, n_samples=800)
 

@@ -6,6 +6,8 @@ a deterministic federated training loop, adaptive round-budget scheduling,
 and an experiment harness with a small CLI.
 """
 
+import numbers
+
 __version__ = "0.1.0"
 
 
@@ -15,3 +17,8 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid config:\n  - " + "\n  - ".join(self.violations))
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy int, and not a bool, which Python counts as an int."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)

@@ -18,13 +18,17 @@ This module provides:
   recalibration when the budget shrinks mid-training
   (``recalibrate_sigma``), with an explicit ``BudgetExhausted`` error,
 * a convergence-bound evaluator and ``MomentLedger``, the one per-client
-  privacy record that recalibration and the decay baseline's halt both read.
+  privacy record that recalibration and the decay baseline's halt both read,
+* the report tables as lists of row dicts: ``verify_accountant`` (both
+  directed moments against the bound on four standard panels),
+  ``calibration_table`` and ``moment_table``; the CLI writes them as CSV.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -360,6 +364,87 @@ def convergence_bound(
     sampling_term = 0.0 if K == U else k1 * U * (U - K) / (K * (U - 1))
     contraction = A**T
     return contraction * gap0 + (1.0 - contraction) * (noise_term + sampling_term)
+
+
+# the four standard verification panels: (label, q, local samples, U)
+VERIFY_PANELS = (
+    ("q0.9_d800_U50", 0.9, 800, 50),
+    ("q0.1_d800_U50", 0.1, 800, 50),
+    ("q0.9_d400_U50", 0.9, 400, 50),
+    ("q0.9_d800_U200", 0.9, 800, 200),
+)
+VERIFY_SIGMA = 0.01
+VERIFY_ETA = 0.05
+VERIFY_CLIP = 1.0
+REGIME_CUTOFF = 0.1
+
+
+def _moments(m: MechanismParams) -> dict:
+    """Both exact directed log-moments beside the closed-form bound; raises
+    ``QuadratureError``."""
+    return {
+        "log_D10": log_moment_numeric(m, D_MIX_BASE),
+        "log_D01": log_moment_numeric(m, D_BASE_MIX),
+        "log_bound": moment_bound(m),
+    }
+
+
+def verify_accountant(lambdas=range(1, 101)) -> list:
+    """Compare numeric moments against the closed-form bound on the four
+    standard panels; returns one row dict per (panel, lambda).  A row whose
+    quadrature failed carries ``error`` in place of the moments and flags."""
+    rows = []
+    for label, q, n_local, _U in VERIFY_PANELS:
+        dl = sensitivity(VERIFY_ETA, VERIFY_CLIP, n_local)
+        for lam in lambdas:
+            m = MechanismParams(q=q, sigma=VERIFY_SIGMA, sensitivity=dl, lam=lam)
+            ratio = regime_ratio(m)
+            row = {
+                "panel": label,
+                "q": q,
+                "sigma": VERIFY_SIGMA,
+                "lambda": lam,
+                "regime_ratio": ratio,
+                "bound_checked": int(ratio < REGIME_CUTOFF),
+            }
+            try:
+                row.update(_moments(m))
+            except QuadratureError as exc:
+                row["error"] = repr(exc)
+            else:
+                row.update(
+                    ordering_violation=int(not row["log_D10"] >= row["log_D01"] - 1e-9),
+                    bound_violation=int(
+                        ratio < REGIME_CUTOFF and not row["log_bound"] >= row["log_D10"]
+                    ),
+                )
+            rows.append(row)
+    return rows
+
+
+def calibration_table(epsilons, deltas, qs, Ts, sensitivities) -> list:
+    """Cross-product noise-calibration table: one row dict per
+    (epsilon, delta, q, T, sensitivity)."""
+    return [
+        {
+            "epsilon": float(eps),
+            "delta": float(delta),
+            "q": float(q),
+            "T": T,
+            "sensitivity": float(dl),
+            "sigma": calibrate_sigma(PrivacyBudget(eps, delta), q, T, dl),
+        }
+        for eps, delta, q, T, dl in itertools.product(epsilons, deltas, qs, Ts, sensitivities)
+    ]
+
+
+def moment_table(q, sigma, dl, lambdas) -> list:
+    """One row dict per order: both directed log-moments and the bound."""
+    rows = []
+    for lam in lambdas:
+        m = MechanismParams(q=q, sigma=sigma, sensitivity=dl, lam=lam)
+        rows.append({"q": float(q), "sigma": float(sigma), "lambda": lam, **_moments(m)})
+    return rows
 
 
 class MomentLedger:

@@ -13,21 +13,27 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
+from .accountant import calibration_table, moment_table, sensitivity, verify_accountant
 from .data import fetch_mnist
 from .harness import (
     SWEEP_AXES,
     ExperimentConfig,
-    calibration_csv,
-    calibration_table,
-    moment_csv,
-    moment_table,
+    _atomic_write_text,
+    _csv,
     pilot_clip,
     run_experiment,
     sweep,
-    verify_accountant,
 )
+
+VERIFY_COLUMNS = (
+    "panel", "q", "sigma", "lambda", "log_D10", "log_D01", "log_bound",
+    "regime_ratio", "bound_checked", "ordering_violation", "bound_violation",
+)
+CALIBRATION_COLUMNS = ("epsilon", "delta", "q", "T", "sensitivity", "sigma")
+MOMENT_COLUMNS = ("q", "sigma", "lambda", "log_D10", "log_D01", "log_bound")
 
 
 def _num_list(text: str) -> list:
@@ -106,8 +112,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _table_csv(columns, rows) -> str:
+    # a verify row whose quadrature failed has no moments: NaN moments, empty flags
+    cells = ([r.get(c, math.nan if c.startswith("log_") else "") for c in columns] for r in rows)
+    return _csv(columns, cells)
+
+
 def _cmd_verify_accountant(args) -> int:
-    rows = verify_accountant(out_path=args.output)
+    rows = verify_accountant()
+    if args.output:
+        _atomic_write_text(args.output, _table_csv(VERIFY_COLUMNS, rows))
     checked = sum(r["bound_checked"] for r in rows)
     bound_bad = sum(r.get("bound_violation", 0) for r in rows)
     order_bad = sum(r.get("ordering_violation", 0) for r in rows)
@@ -124,17 +138,13 @@ def _cmd_verify_accountant(args) -> int:
 
 def _cmd_accountant(args) -> int:
     if args.table == "calibration":
-        sens = _num_list(args.sensitivity) if args.sensitivity else None
-        if sens is None:
-            if not (args.eta and args.clip and args.n_samples):
-                print(
-                    "need --sensitivity or all of --eta/--clip/--n-samples",
-                    file=sys.stderr,
-                )
-                return 2
-            from .accountant import sensitivity as _sens
-
-            sens = [_sens(args.eta, args.clip, n) for n in _int_list(args.n_samples, "--n-samples")]
+        if args.sensitivity:
+            sens = _num_list(args.sensitivity)
+        elif args.eta and args.clip and args.n_samples:
+            n_samples = _int_list(args.n_samples, "--n-samples")
+            sens = [sensitivity(args.eta, args.clip, n) for n in n_samples]
+        else:
+            raise ValueError("need --sensitivity or all of --eta/--clip/--n-samples")
         rows = calibration_table(
             _num_list(args.epsilon),
             _num_list(args.delta),
@@ -142,7 +152,7 @@ def _cmd_accountant(args) -> int:
             _int_list(args.T, "--T"),
             sens,
         )
-        text = calibration_csv(rows)
+        text = _table_csv(CALIBRATION_COLUMNS, rows)
     else:
         rows = moment_table(
             args.q_value,
@@ -150,10 +160,8 @@ def _cmd_accountant(args) -> int:
             args.sensitivity_value,
             range(1, args.lambda_max + 1),
         )
-        text = moment_csv(rows)
+        text = _table_csv(MOMENT_COLUMNS, rows)
     if args.output:
-        from .harness import _atomic_write_text
-
         _atomic_write_text(args.output, text)
         print(f"table: {args.output}")
     else:

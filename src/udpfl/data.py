@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, _is_int
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -77,7 +77,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    provenance: str = "unknown"
     rows_of: tuple | None = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -105,7 +104,6 @@ class Dataset:
             self.features[indices],
             self.labels[indices],
             self.num_classes,
-            self.provenance,
             rows_of=None if self.features.flags.writeable else (self, indices),
         )
 
@@ -170,12 +168,13 @@ class PartitionPlan:
         v = []
         if self.mode not in ("iid", "label_skew", "unbalanced"):
             v.append(f"mode must be iid|label_skew|unbalanced, got {self.mode!r}")
-        if self.shard_size is not None and self.shard_size < 1:
-            v.append(f"shard_size must be >= 1, got {self.shard_size}")
-        if self.labels_per_client < 1:
-            v.append(f"labels_per_client must be >= 1, got {self.labels_per_client}")
-        if self.mode == "unbalanced" and not (self.size_pattern and min(self.size_pattern) >= 1):
-            v.append(f"size_pattern must be nonempty, entries >= 1, got {self.size_pattern}")
+        if self.shard_size is not None and not (_is_int(self.shard_size) and self.shard_size >= 1):
+            v.append(f"shard_size must be an int >= 1, got {self.shard_size}")
+        if not (_is_int(self.labels_per_client) and self.labels_per_client >= 1):
+            v.append(f"labels_per_client must be an int >= 1, got {self.labels_per_client}")
+        sizes = self.size_pattern
+        if self.mode == "unbalanced" and not (sizes and all(_is_int(n) and n >= 1 for n in sizes)):
+            v.append(f"size_pattern must be nonempty, entries ints >= 1, got {sizes}")
         if v:
             raise ConfigError(v)
 
@@ -217,7 +216,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
     y = labels.astype(np.int64)
-    return Dataset(feats, y, num_classes=int(y.max()) + 1, provenance="mnist")
+    return Dataset(feats, y, num_classes=int(y.max()) + 1)
 
 
 def mnist_dir(explicit: str | None = None) -> Path:
@@ -279,8 +278,8 @@ def load_csv_dataset(path) -> Dataset:
     if not np.all(labels == raw):
         raise ValueError(f"{path}: label column must be integral")
     if (np.abs(labels) == 1).all():
-        return Dataset(feats, labels, num_classes=2, provenance="csv")
-    return Dataset(feats, labels, num_classes=int(labels.max()) + 1, provenance="csv")
+        return Dataset(feats, labels, num_classes=2)
+    return Dataset(feats, labels, num_classes=int(labels.max()) + 1)
 
 
 def synth_linear(n: int, dim: int, margin: float, seed: int) -> Dataset:
@@ -306,7 +305,7 @@ def synth_linear(n: int, dim: int, margin: float, seed: int) -> Dataset:
     for r in _row_blocks(n, dim):
         feats[r] -= np.outer(across[r], u)  # component orthogonal to the separator normal
         feats[r] += np.outer(along[r], u)
-    return Dataset(feats, y, num_classes=2, provenance="synthetic")
+    return Dataset(feats, y, num_classes=2)
 
 
 def _skew_subsets(num_classes: int, labels_per_client: int, U: int, rng) -> list[tuple]:

@@ -23,11 +23,11 @@ forward over the clients' rows.  A job reading under ``_HELPER_MIN_BYTES`` runs
 inline instead, since waking the helper would cost as much.  A helper job is a
 pure function of its arguments and writes only memory the main thread reads
 after joining it, so no output depends on where or when it ran; a round that
-fails joins its jobs before it raises.  ``harness.run_experiment`` stops the
-helper before it forks its workers, so no fork copies a live thread (Python
-3.12 warns of that); a child forked some other way inherits the executor but
-not its thread, so the helper is made again whenever ``os.getpid()`` changes.
-Checked on Python 3.11 with the fork start method.
+fails joins its jobs before it raises.  Every fork of the process first stops
+the helper (``os.register_at_fork``), so no fork copies a live thread (Python
+3.12 warns of that, and a child would wait forever on the parent's thread);
+parent and child each make a new one on their next round.  Checked on Python
+3.11 with the fork start method.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, _is_int
 from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
 from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward, _forward_buffers
 # accuracy, local_update and loss have no caller here; perfbench/layers.py wraps them by name
@@ -58,7 +58,7 @@ from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_ac
 _TAG_SELECT = 1
 _TAG_NOISE = 2
 WEIGHT_MODES = ("by_size", "equal")
-_helper_of_pid = (None, None)  # (pid, its one-thread executor or None)
+_helpers: list = []  # once made: [this process's one-thread executor, or None on one CPU]
 # a smaller helper job runs inline: waking the helper can cost ~0.1 ms, as much as the job
 _HELPER_MIN_BYTES = 1 << 22
 
@@ -125,8 +125,8 @@ class FederationConfig:
 
     def __post_init__(self) -> None:
         v = []
-        if self.K < 1:
-            v.append(f"K must be >= 1, got {self.K}")
+        if not (_is_int(self.K) and self.K >= 1):
+            v.append(f"K must be an int >= 1, got {self.K}")
         if not self.eta > 0:
             v.append(f"eta must be > 0, got {self.eta}")
         if not self.clip > 0:
@@ -200,24 +200,23 @@ def _draw_noise(rngs: list, block: np.ndarray) -> None:
 
 
 def _helper() -> ThreadPoolExecutor | None:
-    """This process's helper thread (None on one CPU), made again in a forked child."""
-    global _helper_of_pid
-    pid, pool = _helper_of_pid
-    if pid != os.getpid():
+    """This process's helper thread (None on one CPU), made on first use."""
+    if not _helpers:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        pool = ThreadPoolExecutor(1, "udpfl-helper") if (cpus or 1) > 1 else None
-        _helper_of_pid = (os.getpid(), pool)
-    return pool
+        _helpers.append(ThreadPoolExecutor(1, "udpfl-helper") if (cpus or 1) > 1 else None)
+    return _helpers[0]
 
 
 def _stop_helper() -> None:
     """Join and drop this process's helper, so a fork copies no live thread; the next
     round makes one again."""
-    global _helper_of_pid
-    pid, pool = _helper_of_pid
-    if pool is not None and pid == os.getpid():
-        pool.shutdown()
-    _helper_of_pid = (None, None)
+    if _helpers and _helpers[0] is not None:
+        _helpers[0].shutdown()
+    _helpers.clear()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(before=_stop_helper)
 
 
 @contextmanager

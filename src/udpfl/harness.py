@@ -1,4 +1,4 @@
-"""Experiment harness: configs, runners, sweeps, and report tables.
+"""Experiment harness: configs, data pool, runners, sweeps and the clip-norm pilot.
 
 A single JSON config drives everything.  Parameter names follow the
 ASCII forms used throughout the package: ``epsilon_p``/``delta_p`` for the
@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,20 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, __version__
-from .accountant import (
-    D_BASE_MIX,
-    D_MIX_BASE,
-    MechanismParams,
-    MomentLedger,
-    PrivacyBudget,
-    QuadratureError,
-    calibrate_sigma,
-    log_moment_numeric,
-    moment_bound,
-    regime_ratio,
-    sensitivity,
-)
+from . import ConfigError, __version__, _is_int
+from .accountant import MomentLedger, PrivacyBudget, calibrate_sigma, sensitivity
 from .data import (
     MNIST_FILES,
     Dataset,
@@ -61,7 +48,6 @@ from .federation import (
     FederationConfig,
     ServerState,
     TrainingResult,
-    _stop_helper,
     evaluate,
     run_round,
     run_training,
@@ -135,6 +121,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError([f"a config must be a JSON object, got {type(d).__name__}"])
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -146,6 +134,8 @@ class ExperimentConfig:
             d["epsilon_p"] = math.inf
         for key in ("seeds", "size_pattern"):
             if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise ConfigError([f"{key} must be a list, got {d[key]!r}"])
                 d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
@@ -201,8 +191,10 @@ class ExperimentConfig:
             v.append("svm needs binary +1/-1 labels; mnist is 10-class")
         if synthetic and not 0 < cfg.synth_margin < math.inf:
             v.append(f"synth_margin must be finite and > 0, got {cfg.synth_margin}")
-        if synthetic and cfg.synth_n_test < 1:
-            v.append(f"synth_n_test must be >= 1, got {cfg.synth_n_test}")
+        if synthetic and not (_is_int(cfg.synth_n_test) and cfg.synth_n_test >= 1):
+            v.append(f"synth_n_test must be an int >= 1, got {cfg.synth_n_test}")
+        if not (_is_int(cfg.data_seed) and cfg.data_seed >= 0):  # as SeedSequence
+            v.append(f"data_seed must be an int >= 0, got {cfg.data_seed}")
         if synthetic and cfg.model_kind != "svm":
             v.append("synthetic data is binary +1/-1; use model_kind svm")
         if synthetic and cfg.partition_mode == "label_skew":
@@ -211,8 +203,8 @@ class ExperimentConfig:
             v.append("synthetic data needs shard_size to size the pool")
         if cfg.partition_mode == "unbalanced" and cfg.U % max(len(cfg.size_pattern), 1):
             v.append(f"unbalanced mode needs U divisible by {len(cfg.size_pattern)}")
-        if cfg.U < 1:
-            v.append(f"U must be >= 1, got {cfg.U}")
+        if not (_is_int(cfg.U) and cfg.U >= 1):
+            v.append(f"U must be an int >= 1, got {cfg.U}")
         if cfg.K > cfg.U:
             v.append(f"need K <= U, got K={cfg.K}, U={cfg.U}")
         if cfg.scheduler not in ("fixed", "crd", "decay"):
@@ -227,8 +219,11 @@ class ExperimentConfig:
         bad_seeds = [s for s in cfg.seeds if not (_is_int(s) and s >= 0)]  # as SeedSequence
         if bad_seeds:
             v.append(f"seeds must be ints >= 0, got {bad_seeds}")
-        if cfg.workers < 1:
-            v.append(f"workers must be >= 1, got {cfg.workers}")
+        elif len(set(cfg.seeds)) < len(cfg.seeds):  # each seed writes its own seed_<n>/
+            repeated = sorted({s for s in cfg.seeds if cfg.seeds.count(s) > 1})
+            v.append(f"seeds must be distinct, got {repeated} more than once")
+        if not (_is_int(cfg.workers) and cfg.workers >= 1):
+            v.append(f"workers must be an int >= 1, got {cfg.workers}")
         # round-0 noise calibration must be well-posed before any data loads
         if not v and math.isfinite(cfg.epsilon_p):
             size = cfg.shard_size or (
@@ -252,11 +247,6 @@ class ExperimentConfig:
         if violations:
             raise ConfigError(violations)
         return self.resolved()
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy int, and not a bool, which Python counts as an int."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -539,7 +529,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     started = time.monotonic()
     results = []
     if cfg.workers > 1 and len(cfg.seeds) > 1:
-        _stop_helper()
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [
                 pool.submit(_seed_job, cfg.to_dict(), seed, str(outdir))
@@ -641,122 +630,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
             outdir / "sweep_errors.json", json.dumps(errors, indent=2, sort_keys=True)
         )
     return path
-
-
-# --- report tables ---
-
-# the four standard verification panels: (label, q, local samples, U)
-VERIFY_PANELS = (
-    ("q0.9_d800_U50", 0.9, 800, 50),
-    ("q0.1_d800_U50", 0.1, 800, 50),
-    ("q0.9_d400_U50", 0.9, 400, 50),
-    ("q0.9_d800_U200", 0.9, 800, 200),
-)
-VERIFY_SIGMA = 0.01
-VERIFY_ETA = 0.05
-VERIFY_CLIP = 1.0
-REGIME_CUTOFF = 0.1
-VERIFY_COLUMNS = (
-    "panel", "q", "sigma", "lambda", "log_D10", "log_D01", "log_bound",
-    "regime_ratio", "bound_checked", "ordering_violation", "bound_violation",
-)
-
-
-def verify_accountant(out_path=None, lambdas=range(1, 101)) -> list:
-    """Compare numeric moments against the closed-form bound on the four
-    standard panels; returns one row dict per (panel, lambda)."""
-    rows = []
-    for label, q, n_local, _U in VERIFY_PANELS:
-        dl = sensitivity(VERIFY_ETA, VERIFY_CLIP, n_local)
-        for lam in lambdas:
-            m = MechanismParams(q=q, sigma=VERIFY_SIGMA, sensitivity=dl, lam=lam)
-            ratio = regime_ratio(m)
-            row = {
-                "panel": label,
-                "q": q,
-                "sigma": VERIFY_SIGMA,
-                "lambda": lam,
-                "regime_ratio": ratio,
-                "bound_checked": int(ratio < REGIME_CUTOFF),
-            }
-            try:
-                log_d10 = log_moment_numeric(m, D_MIX_BASE)
-                log_d01 = log_moment_numeric(m, D_BASE_MIX)
-            except QuadratureError as exc:
-                row["error"] = repr(exc)
-                rows.append(row)
-                continue
-            bound = moment_bound(m)
-            row.update(
-                log_D10=log_d10,
-                log_D01=log_d01,
-                log_bound=bound,
-                ordering_violation=int(not log_d10 >= log_d01 - 1e-9),
-                bound_violation=int(
-                    ratio < REGIME_CUTOFF and not bound >= log_d10
-                ),
-            )
-            rows.append(row)
-    if out_path is not None:
-        # rows whose quadrature failed have no moments: NaN moments, empty flags
-        cells = (
-            [r.get(c, math.nan if c.startswith("log_") else "") for c in VERIFY_COLUMNS]
-            for r in rows
-        )
-        _atomic_write_text(Path(out_path), _csv(VERIFY_COLUMNS, cells))
-    return rows
-
-
-CALIBRATION_COLUMNS = ("epsilon", "delta", "q", "T", "sensitivity", "sigma")
-MOMENT_COLUMNS = ("q", "sigma", "lambda", "log_D10", "log_D01", "log_bound")
-
-
-def calibration_table(epsilons, deltas, qs, Ts, sensitivities) -> list:
-    """Cross-product noise-calibration table with the pinned column set."""
-    rows = []
-    for eps in epsilons:
-        for delta in deltas:
-            for q in qs:
-                for T in Ts:
-                    for dl in sensitivities:
-                        rows.append(
-                            {
-                                "epsilon": float(eps),
-                                "delta": float(delta),
-                                "q": float(q),
-                                "T": T,
-                                "sensitivity": float(dl),
-                                "sigma": calibrate_sigma(
-                                    PrivacyBudget(eps, delta), q, T, dl
-                                ),
-                            }
-                        )
-    return rows
-
-
-def calibration_csv(rows) -> str:
-    return _csv(CALIBRATION_COLUMNS, ([r[c] for c in CALIBRATION_COLUMNS] for r in rows))
-
-
-def moment_table(q, sigma, dl, lambdas) -> list:
-    rows = []
-    for lam in lambdas:
-        m = MechanismParams(q=q, sigma=sigma, sensitivity=dl, lam=lam)
-        rows.append(
-            {
-                "q": float(q),
-                "sigma": float(sigma),
-                "lambda": lam,
-                "log_D10": log_moment_numeric(m, D_MIX_BASE),
-                "log_D01": log_moment_numeric(m, D_BASE_MIX),
-                "log_bound": moment_bound(m),
-            }
-        )
-    return rows
-
-
-def moment_csv(rows) -> str:
-    return _csv(MOMENT_COLUMNS, ([r[c] for c in MOMENT_COLUMNS] for r in rows))
 
 
 def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, outdir=None):

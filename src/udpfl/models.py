@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, _is_int
 
 KINDS = ("svm", "logistic", "mlp")
 HINGE_FORMS = ("label_threshold", "unit_margin")
@@ -61,12 +61,12 @@ class ModelSpec:
         v = []
         if self.kind not in KINDS:
             v.append(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.input_dim < 1:
-            v.append(f"input_dim must be >= 1, got {self.input_dim}")
+        if not (_is_int(self.input_dim) and self.input_dim >= 1):
+            v.append(f"input_dim must be an int >= 1, got {self.input_dim}")
         if self.kind != "svm" and self.num_classes < 2:
             v.append(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            v.append(f"hidden_dim must be >= 1 for mlp, got {self.hidden_dim}")
+        if not _is_int(self.hidden_dim) or self.kind == "mlp" and self.hidden_dim < 1:
+            v.append(f"hidden_dim must be an int, >= 1 for mlp, got {self.hidden_dim}")
         if self.kind == "svm" and not self.kappa > 0.0:
             v.append(f"kappa must be > 0 for svm, got {self.kappa}")
         if self.hinge not in HINGE_FORMS:

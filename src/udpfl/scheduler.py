@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import ConfigError
+from . import ConfigError, _is_int
 from .accountant import calibrate_sigma
 # evaluate has no caller here; perfbench/layers.py wraps scheduler.evaluate by name
 from .federation import FederationConfig, ServerState, TrainingResult, evaluate, run_round
@@ -39,8 +39,8 @@ class CrdConfig:
             v.append(f"beta must be in (0, 1), got {self.beta}")
         if not self.zeta > 0.0:
             v.append(f"zeta must be > 0, got {self.zeta}")
-        if self.T_init < 1:
-            v.append(f"T_init must be >= 1, got {self.T_init}")
+        if not (_is_int(self.T_init) and self.T_init >= 1):
+            v.append(f"T_init must be an int >= 1, got {self.T_init}")
         if v:
             raise ConfigError(v)
 

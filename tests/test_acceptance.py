@@ -36,6 +36,7 @@ from udpfl.accountant import (
     moment_numeric,
     recalibrate_sigma,
     sensitivity,
+    verify_accountant,
 )
 from udpfl.federation import add_noise, run_training, sample_clients
 from udpfl.harness import (
@@ -45,7 +46,6 @@ from udpfl.harness import (
     load_experiment_data,
     run_experiment,
     run_simulation,
-    verify_accountant,
 )
 from udpfl.models import (
     ModelSpec,

@@ -410,3 +410,44 @@ def test_moment_ledger_rejects_bad_inputs():
     with pytest.raises(ValueError):
         led.within(extra_sigma=-1.0)
     assert led.sigmas == []  # a rejected charge records nothing
+
+
+# ------------------------------------------------------------- report tables
+
+
+def test_verify_accountant_grid_is_clean():
+    rows = acc.verify_accountant(lambdas=range(1, 11))
+    assert len(rows) == 40  # 4 panels x 10 orders
+    assert all(r["bound_checked"] == 1 for r in rows)
+    assert all(r["ordering_violation"] == 0 for r in rows)
+    assert all(r["bound_violation"] == 0 for r in rows)
+    # the two q=0.9, |D|=800 panels differ only by U, which the moments
+    # never see, so their numbers agree exactly
+    a = [r for r in rows if r["panel"] == "q0.9_d800_U50"]
+    d = [r for r in rows if r["panel"] == "q0.9_d800_U200"]
+    for ra, rd in zip(a, d):
+        assert ra["log_D10"] == rd["log_D10"]
+
+
+def test_calibration_table_matches_direct_closed_form():
+    rows = acc.calibration_table([6.0, 8.0], [0.001], [0.6], [100], [1.25e-4])
+    assert len(rows) == 2
+    for r in rows:
+        direct = acc.calibrate_sigma(
+            acc.PrivacyBudget(r["epsilon"], r["delta"]), r["q"], r["T"], r["sensitivity"]
+        )
+        assert r["sigma"] == direct
+
+
+def test_moment_table_rows_are_ordered():
+    rows = acc.moment_table(0.9, 0.01, 1.25e-4, range(1, 6))
+    assert len(rows) == 5
+    assert all(r["log_bound"] >= r["log_D10"] >= r["log_D01"] - 1e-12 for r in rows)
+
+
+def test_moment_table_matches_the_verify_report():
+    dl = acc.sensitivity(acc.VERIFY_ETA, acc.VERIFY_CLIP, 800)
+    table = acc.moment_table(0.9, acc.VERIFY_SIGMA, dl, range(1, 4))
+    report = [r for r in acc.verify_accountant(range(1, 4)) if r["panel"] == "q0.9_d800_U50"]
+    for t, r in zip(table, report, strict=True):
+        assert {k: r[k] for k in t} == t

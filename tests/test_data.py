@@ -221,7 +221,7 @@ def make_multiclass(n_per_class, num_classes, seed=0):
     feats = rng.normal(size=(n, 3))
     labels = np.repeat(np.arange(num_classes), n_per_class)
     order = rng.permutation(n)
-    return Dataset(feats[order], labels[order], num_classes, "synthetic")
+    return Dataset(feats[order], labels[order], num_classes)
 
 
 def assert_disjoint(shards):

@@ -76,7 +76,7 @@ def make_federation(
     n = sum(sizes) + 30
     X = rng.normal(size=(n, 4))
     y = np.argmax(X @ rng.normal(size=(4, 3)), axis=1)
-    ds = Dataset(X, y, 3, "synthetic")
+    ds = Dataset(X, y, 3)
     shards, start = [], 0
     for s in sizes:
         shards.append(ds.subset(np.arange(start, start + s)))
@@ -448,7 +448,7 @@ def test_client_ids_must_be_their_positions():
 def spec_federation(spec, sizes=(7, 3, 12, 5, 9), K=3, epsilon=INF, seed=0):
     """Unequal shards of one spec's data; the server starts at random parameters."""
     X, y = make_batch(spec, sum(sizes) + 20, 50 + seed)
-    ds = Dataset(X, y, max(spec.num_classes, 2), "synthetic")
+    ds = Dataset(X, y, max(spec.num_classes, 2))
     ends = np.cumsum(sizes)
     shards = [ds.subset(np.arange(e - n, e)) for n, e in zip(sizes, ends)]
     test = ds.subset(np.arange(ends[-1], len(X)))

@@ -1,11 +1,10 @@
-"""Config, runner, sweep, and report-table tests."""
+"""Config, runner, sweep, pilot and CLI tests."""
 
 import dataclasses
 import gc
 import json
 import math
 import multiprocessing
-import os
 import threading
 import weakref
 
@@ -14,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udpfl import cli, federation, harness
-from udpfl.accountant import MomentLedger, PrivacyBudget, calibrate_sigma
+from udpfl import accountant, cli, federation, harness
+from udpfl.accountant import MomentLedger, PrivacyBudget
 from udpfl.data import Dataset, PartitionPlan, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
@@ -25,19 +24,14 @@ from udpfl.harness import (
     _csv,
     build_model_spec,
     build_simulation,
-    calibration_csv,
-    calibration_table,
     config_hash,
     load_experiment_data,
-    moment_csv,
-    moment_table,
     pilot_clip,
     rounds_csv_text,
     run_experiment,
     run_simulation,
     run_single_seed,
     sweep,
-    verify_accountant,
 )
 from udpfl.models import HINGE_FORMS, init_params
 from udpfl.scheduler import CrdConfig
@@ -111,6 +105,42 @@ def test_validation_rejects_a_seed_that_is_not_an_int_ge_0(tmp_path, seed):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
     assert svm_cfg(tmp_path, seeds=[0, np.int64(2)]).validate() == []
+
+
+def test_validation_rejects_a_repeated_seed(tmp_path):
+    cfg = svm_cfg(tmp_path, seeds=[1, 2, 1, np.int64(2), 3])
+    assert cfg.validate() == ["seeds must be distinct, got [1, 2] more than once"]
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hidden_dim", 4.0),
+        ("shard_size", 10.5),
+        ("labels_per_client", 2.5),
+        ("size_pattern", (10, 20.5, 30)),
+        ("synth_dim", 5.5),
+        ("synth_n_test", 100.0),
+        ("data_seed", 0.5),
+        ("U", 4.0),
+        ("K", 1.5),
+        ("T_init", 3.5),
+        ("workers", 1.5),
+    ],
+)
+def test_validation_rejects_a_non_integer_count(tmp_path, key, value):
+    over = {key: value}
+    if key == "size_pattern":
+        over.update(partition_mode="unbalanced", shard_size=None, U=6)
+    cfg = svm_cfg(tmp_path, epsilon_p="inf", **over)
+    violations = cfg.validate()
+    assert [v for v in violations if v.startswith(f"{key} must ") and " int" in v], violations
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_eta_defaults_per_model_kind():
@@ -321,11 +351,11 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
 
 
 def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path, monkeypatch):
-    # rounds in this process make its helper thread; it is stopped before the
-    # workers are forked, and each worker makes its own
+    # rounds in this process make its helper thread; every fork stops it first,
+    # and each worker makes its own
     monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
     run_experiment(svm_cfg(tmp_path, output_dir=str(tmp_path / "serial")))
-    assert federation._helper_of_pid[0] == os.getpid()
+    assert federation._helpers  # made by the serial rounds
     parallel = svm_cfg(tmp_path, output_dir=str(tmp_path / "parallel"), workers=2)
     outcome = []
     job = threading.Thread(target=lambda: outcome.append(run_experiment(parallel)), daemon=True)
@@ -336,7 +366,7 @@ def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path
             child.terminate()
         pytest.fail("workers=2 did not finish within 120 s after rounds in the parent")
     assert outcome and not outcome[0].errors
-    assert federation._helper_of_pid == (None, None)  # no live helper was forked
+    assert federation._helpers == []  # no live helper was forked
     for s in (1, 2):
         serial = (tmp_path / "serial" / f"seed_{s}" / "rounds.csv").read_bytes()
         assert (tmp_path / "parallel" / f"seed_{s}" / "rounds.csv").read_bytes() == serial
@@ -457,23 +487,15 @@ def test_csv_cell_formatting():
     )
 
 
-def test_verify_accountant_grid_is_clean():
-    rows = verify_accountant(lambdas=range(1, 11))
-    assert len(rows) == 40  # 4 panels x 10 orders
-    assert all(r["bound_checked"] == 1 for r in rows)
-    assert all(r["ordering_violation"] == 0 for r in rows)
-    assert all(r["bound_violation"] == 0 for r in rows)
-    # the two q=0.9, |D|=800 panels differ only by U, which the moments
-    # never see, so their numbers agree exactly
-    a = [r for r in rows if r["panel"] == "q0.9_d800_U50"]
-    d = [r for r in rows if r["panel"] == "q0.9_d800_U200"]
-    for ra, rd in zip(a, d):
-        assert ra["log_D10"] == rd["log_D10"]
+def short_verify(monkeypatch):
+    """Make ``udpfl verify-accountant`` report orders 1..3 only."""
+    monkeypatch.setattr(cli, "verify_accountant", lambda: accountant.verify_accountant(range(1, 4)))
 
 
-def test_verify_accountant_csv(tmp_path):
+def test_verify_accountant_csv(tmp_path, monkeypatch):
+    short_verify(monkeypatch)
     out = tmp_path / "verify.csv"
-    verify_accountant(out_path=out, lambdas=range(1, 4))
+    assert cli.main(["verify-accountant", "--output", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].split(",")[:7] == [
         "panel", "q", "sigma", "lambda", "log_D10", "log_D01", "log_bound",
@@ -481,27 +503,35 @@ def test_verify_accountant_csv(tmp_path):
     assert len(lines) == 1 + 12
 
 
-def test_calibration_table_matches_direct_closed_form():
-    rows = calibration_table([6.0, 8.0], [0.001], [0.6], [100], [1.25e-4])
-    assert len(rows) == 2
-    for r in rows:
-        direct = calibrate_sigma(
-            PrivacyBudget(r["epsilon"], r["delta"]), r["q"], r["T"], r["sensitivity"]
-        )
-        assert r["sigma"] == direct
-    text = calibration_csv(rows)
-    assert text.startswith("epsilon,delta,q,T,sensitivity,sigma\n")
+def test_verify_accountant_csv_reports_a_failed_quadrature(tmp_path, monkeypatch, capsys):
+    short_verify(monkeypatch)
+    numeric = accountant.log_moment_numeric
+
+    def failing(m, direction):
+        if m.lam == 2 and direction == accountant.D_BASE_MIX:
+            raise accountant.QuadratureError("did not converge")
+        return numeric(m, direction)
+
+    monkeypatch.setattr(accountant, "log_moment_numeric", failing)
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify-accountant", "--output", str(out)]) == 1
+    assert "quadrature failures: 4" in capsys.readouterr().err
+    header, *rows = [ln.split(",") for ln in out.read_text().strip().split("\n")]
+    failed = [dict(zip(header, r)) for r in rows if r[3] == "2"]
+    assert len(failed) == 4 and len(rows) == 12
+    for r in failed:
+        assert [r[c] for c in ("log_D10", "log_D01", "log_bound")] == ["nan"] * 3
+        assert r["ordering_violation"] == r["bound_violation"] == ""
+        assert r["bound_checked"] == "1"
+
+
+def test_cli_calibration_table_csv(capsys):
     # integer inputs, as the command line parses "8" and "1", print as floats
-    int_rows = calibration_table([8], [0.001], [1], [100], [1])
-    assert calibration_csv(int_rows).split("\n")[1].startswith("8.0,0.001,1.0,100,1.0,")
-
-
-def test_moment_table_columns():
-    rows = moment_table(0.9, 0.01, 1.25e-4, range(1, 6))
-    assert len(rows) == 5
-    assert all(r["log_bound"] >= r["log_D10"] >= r["log_D01"] - 1e-12 for r in rows)
-    text = moment_csv(rows)
-    assert text.startswith("q,sigma,lambda,log_D10,log_D01,log_bound\n")
+    argv = ["accountant", "--epsilon", "8", "--q", "1", "--T", "100", "--sensitivity", "1"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "epsilon,delta,q,T,sensitivity,sigma"
+    assert lines[1].startswith("8.0,0.001,1.0,100,1.0,")
 
 
 # --- pilot clipping ---
@@ -808,7 +838,7 @@ def test_cli_run_and_verify(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.startswith("q,sigma,lambda")
+    assert out.startswith("q,sigma,lambda,log_D10,log_D01,log_bound\n")
     assert len(out.strip().split("\n")) == 4
 
 
@@ -831,6 +861,10 @@ def test_cli_override_precedence(tmp_path, capsys):
     "argv, message",
     [
         (["run", "--seeds", "1.5,2.9"], "seeds must be ints >= 0, got [1.5, 2.9]"),
+        (
+            ["accountant", "--table", "calibration"],
+            "need --sensitivity or all of --eta/--clip/--n-samples",
+        ),
         (["accountant", "--T", "150.5", "--sensitivity", "0.01"], "--T takes integers, got 150.5"),
         (
             ["accountant", "--eta", "0.1", "--clip", "1", "--n-samples", "800,800.5"],
@@ -838,9 +872,11 @@ def test_cli_override_precedence(tmp_path, capsys):
         ),
         (["sweep", "--axis", "T", "--values", "150.5"], "axis T takes integers, got [150.5]"),
     ],
-    ids=["run-seeds", "accountant-T", "accountant-n-samples", "sweep-T"],
+    ids=[
+        "run-seeds", "accountant-no-sensitivity", "accountant-T", "accountant-n-samples", "sweep-T",
+    ],
 )
-def test_cli_rejects_a_non_integer_where_it_takes_integers(tmp_path, capsys, argv, message):
+def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, message):
     if argv[0] != "accountant":
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(svm_cfg(tmp_path).to_dict()))
@@ -865,3 +901,20 @@ def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "udpfl: error: rounds must be >= 1, got 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(SVM_BASE, seeds=1), "seeds must be a list, got 1"),
+        (dict(SVM_BASE, size_pattern=400), "size_pattern must be a list, got 400"),
+        ([1, 2], "a config must be a JSON object, got list"),
+    ],
+    ids=["scalar-seeds", "scalar-size_pattern", "array"],
+)
+def test_cli_rejects_a_malformed_config_file(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.startswith("udpfl: error: ")

@@ -1,10 +1,12 @@
 """The benchmark (``perfbench/``) reaches into the simulator by name: the
 traced pass (``layers.py``) wraps functions by attribute, and the run audit
 (``checks.py``) keeps a reference to every client's sigma history and checks
-it after the run.  A renamed name or a history the audit can no longer see
-would otherwise fail only the benchmark's own smoke test, which is not part
-of this suite.  Both files are loaded read-only."""
+it after the run.  A renamed name, a site no run calls any more or a history
+the audit can no longer see would otherwise fail only the benchmark's own
+smoke test, which is not part of this suite, or not at all.  The files are
+loaded read-only."""
 
+import dataclasses
 import importlib.util
 import sys
 import threading
@@ -12,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from udpfl import federation
+from udpfl import federation, harness
 from udpfl.harness import (
     ExperimentConfig,
     build_model_spec,
     build_simulation,
     load_experiment_data,
+    run_experiment,
     run_simulation,
 )
 
@@ -41,6 +44,55 @@ def test_every_traced_site_resolves():
     ]
     assert layers.SITES
     assert unresolved == []
+
+
+# the traced sites that no run calls: each reads 0 in the traced pass, so
+# wrapping it shows nothing until the engine calls it again or the site goes
+NEVER_CALLED = {
+    "federation.accuracy",
+    "federation.add_noise",
+    "federation.aggregate",
+    "federation.evaluate",
+    "federation.local_update",
+    "federation.loss",
+    "models.predict",
+    "scheduler.evaluate",
+}
+
+
+def test_every_other_traced_site_is_called_by_a_run(tmp_path, monkeypatch):
+    layers, workloads = _load("layers"), _load("workloads")
+    sites = {f"{o.__name__.rpartition('.')[2]}.{attr}": (o, attr) for o, attr, _, _ in layers.SITES}
+    assert len(sites) == len(layers.SITES)
+    called = set()
+
+    def noting(fn, site):
+        def wrapped(*args, **kwargs):
+            called.add(site)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for site, (owner, attr) in sites.items():
+        monkeypatch.setattr(owner, attr, noting(getattr(owner, attr), site))
+    monkeypatch.setattr(harness, "_pool", {})  # each data source is loaded, not a pool hit
+    svm = ExperimentConfig(
+        model_kind="svm", data_source="synthetic", synth_dim=10, synth_n_test=100,
+        shard_size=20, U=6, K=4, T_init=8, epsilon_p=6.0, delta_p=1e-3, clip_C=0.5, zeta=0.01,
+        seeds=(1,),
+    )
+    harness.sweep(svm, "T", [3, 5], tmp_path / "sweep")
+    for scheduler in ("crd", "decay"):
+        out = tmp_path / scheduler
+        assert not run_experiment(dataclasses.replace(svm, scheduler=scheduler), out).errors
+    mnist = tmp_path / "mnist"
+    workloads.write_mnist_like(mnist, 1, n_train=200, n_test=50)
+    mlp = ExperimentConfig(
+        model_kind="mlp", hidden_dim=4, data_source="mnist", mnist_dir=str(mnist),
+        shard_size=20, U=4, K=2, T_init=3, seeds=(1,),
+    )
+    assert not run_experiment(mlp, tmp_path / "mlp").errors
+    assert set(sites) - called == NEVER_CALLED
 
 
 @pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
