@@ -1,8 +1,8 @@
 """Federated training loop: sampling, local updates, noise, aggregation.
 
-One round does, in order: sample K of U clients; charge every client's
-``MomentLedger`` for the round at the current round budget T (noise scale
-from ``recalibrate_sigma`` over the ledger's history, which reduces to the
+One round does, in order: sample K of U clients; charge each ``MomentLedger``
+once for the round at the current round budget T (noise scale from
+``recalibrate_sigma`` over the ledger's history, which reduces to the
 closed-form calibration while T is unchanged); every selected client takes
 one full-batch clipped step from the global parameters and adds Gaussian
 noise; the server aggregates the uploads by weight and evaluates the new
@@ -65,7 +65,7 @@ _HELPER_MIN_BYTES = 1 << 22
 
 @dataclass
 class ClientState:
-    """One simulated client: data shard and privacy ledger."""
+    """One simulated client: data shard and the privacy ledger of its class."""
 
     id: int
     shard: object  # Dataset
@@ -81,7 +81,7 @@ class ClientState:
 
     @property
     def sigma_history(self) -> list:
-        """The ledger's own list of charged noise scales (not a copy)."""
+        """The class ledger's own list of charged noise scales (shared, not a copy)."""
         return self.ledger.sigmas
 
     @property
@@ -237,15 +237,9 @@ def _on_helper(nbytes: int, fn, *args):
 
 
 def _round_sigmas(clients: list, T: int) -> dict:
-    """Noise scale for every client this round; raises BudgetExhausted."""
-    sigmas = {}
-    for c in clients:
-        if c.noiseless:
-            sigmas[c.id] = 0.0
-            continue
-        led = c.ledger
-        sigmas[c.id] = recalibrate_sigma(led.budget, led.q, T, led.rounds, led.sigmas, led.dl)
-    return sigmas
+    """Each noisy client's ledger -> its noise scale this round; raises BudgetExhausted."""
+    return {led: recalibrate_sigma(led.budget, led.q, T, led.rounds, led.sigmas, led.dl)
+            for led in dict.fromkeys(c.ledger for c in clients if not c.noiseless)}
 
 
 def _row_stack(arrays: tuple) -> np.ndarray:
@@ -301,9 +295,9 @@ def run_round(
 
     ``clients[i].id`` must be i.  The train loss is over the clients' rows, and
     its forward pass feeds the next round's local steps.  ``sigma_override``
-    (client id -> noise scale) bypasses the budget recalibration — used by
-    externally-scheduled baselines, which check the same ledgers with their
-    own halting rule before each round.
+    (client id -> noise scale, one per ledger) bypasses the budget recalibration
+    — used by externally-scheduled baselines, which check the same ledgers with
+    their own halting rule before each round.
 
     Order: refill the stacked forward if the parameters moved; noise scales
     (may raise ``BudgetExhausted``); selection; the helper draws the noisy
@@ -324,13 +318,17 @@ def run_round(
         st = server._stacked = _Stacked(spec, params, clients)
     if not np.array_equal(st.params, params):  # filled at other parameters
         st.fill(params)
-    if sigma_override is None:
-        sigmas = _round_sigmas(clients, server.T)
+    if sigma_override is None:  # one charge per ledger, shared by the clients of a class
+        charges = _round_sigmas(clients, server.T)
+        sigmas = {c.id: charges.get(c.ledger, 0.0) for c in clients}
     else:
         sigmas = {c.id: float(sigma_override[c.id]) for c in clients}
         # rejects NaN too, which no upload or ledger may take
         if not all(sigmas[c.id] > 0.0 or c.noiseless and sigmas[c.id] == 0.0 for c in clients):
             raise ValueError("sigma_override must be > 0 for a noisy client, >= 0 for the rest")
+        charges = {c.ledger: sigmas[c.id] for c in clients if not c.noiseless}
+        if any(charges[c.ledger] != sigmas[c.id] for c in clients if not c.noiseless):
+            raise ValueError("sigma_override must give the clients sharing a ledger one sigma")
     selected = sample_clients(len(clients), cfg.K, _selection_rng(cfg.seed, rnd))
 
     if cfg.weight_mode == "by_size":
@@ -374,9 +372,8 @@ def run_round(
         test_accuracy=test_acc,
         selected=selected,
     )
-    for c in clients:
-        if not c.noiseless:
-            c.ledger.charge(sigmas[c.id])
+    for ledger, sigma in charges.items():
+        ledger.charge(sigma)
     server.global_params = new_params
     server.t = rnd + 1
     server.records.append(record)

@@ -27,6 +27,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,9 @@ _CONFIG_KEYS = dict(
     kind="model_kind", mode="partition_mode", epsilon="epsilon_p", delta="delta_p", clip="clip_C",
     input_dim="synth_dim",
 )
+# the values each field annotation takes: a bool is never a count or a rate
+_FIELD_TYPES = dict(str=(str, "a string"), int=(Real, "an int"), float=(Real, "a number"),
+                    tuple=((tuple, list), "a list"))
 
 
 @dataclass(frozen=True)
@@ -127,16 +131,12 @@ class ExperimentConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
-        d = dict(d)
+        d = dict(d)  # validate() reports any other value of the wrong type
         if isinstance(d.get("epsilon_p"), str):
             if d["epsilon_p"].lower() not in ("inf", "infinity"):
                 raise ConfigError([f"epsilon_p must be a number or 'inf', got {d['epsilon_p']!r}"])
             d["epsilon_p"] = math.inf
-        for key in ("seeds", "size_pattern"):
-            if key in d:
-                if not isinstance(d[key], (list, tuple)):
-                    raise ConfigError([f"{key} must be a list, got {d[key]!r}"])
-                d[key] = tuple(d[key])
+        d.update({k: tuple(d[k]) for k in ("seeds", "size_pattern") if isinstance(d.get(k), list)})
         return ExperimentConfig(**d)
 
     @staticmethod
@@ -160,9 +160,16 @@ class ExperimentConfig:
         return d
 
     def validate(self) -> list:
-        """Return every violation (empty list = valid): each component's own
-        rules, under config keys, then the rules no single component can state."""
+        """Return every violation (empty list = valid): every field of the wrong type,
+        if any; else each component's rules, under config keys, then the rest."""
         v = []
+        for f in dataclasses.fields(self):
+            x, (kind, *none) = getattr(self, f.name), f.type.split(" | ")
+            types, name = _FIELD_TYPES[kind]
+            if not (none and x is None or isinstance(x, types) and not isinstance(x, bool)):
+                v.append(f"{f.name} must be {name}{' or null' * len(none)}, got {x!r}")
+        if v:
+            return v
         cfg = self.resolved()
         synthetic = cfg.data_source == "synthetic"
         # the data fixes input_dim (synth_dim for synthetic data) and num_classes
@@ -262,7 +269,6 @@ class RunManifest:
     wall_clock_sec: float
     outputs: dict = field(default_factory=dict)  # seed -> {rounds, summary}
     errors: dict = field(default_factory=dict)  # seed -> repr(exception)
-    extra: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
         _atomic_write_text(path, json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True))
@@ -440,18 +446,17 @@ def rounds_csv_text(seed: int, records) -> str:
 def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
     """Wire one run of a resolved config over already-loaded client shards.
 
-    Returns ``(server, clients, federation config)``: every client holds a
-    ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``, ``q = K/U``
-    and the sensitivity of its shard, and the server starts at round budget
+    Returns ``(server, clients, federation config)``: the clients of one shard size
+    (a class) share a ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``,
+    ``q = K/U`` and that size's sensitivity, and the server starts at round budget
     ``T_init`` from parameters drawn from the seed's initialization stream.
     Raises ``ConfigError`` if a convex model's ``eta`` exceeds 1/L of the shards.
     """
     _check_eta_against_smoothness(cfg, spec, shards)
     budget, q = PrivacyBudget(cfg.epsilon_p, cfg.delta_p), cfg.K / len(shards)
-    clients = [
-        ClientState(i, shard, MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, len(shard))))
-        for i, shard in enumerate(shards)
-    ]
+    ledgers = {n: MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, n))
+               for n in {len(shard) for shard in shards}}
+    clients = [ClientState(i, shard, ledgers[len(shard)]) for i, shard in enumerate(shards)]
     fcfg = FederationConfig(
         spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
         weight_mode=cfg.weight_mode,

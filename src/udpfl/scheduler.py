@@ -7,7 +7,7 @@
   beta — ``T <- floor(beta*(T - t)) + t`` — and let the noise
   recalibration absorb the change;
 * linear noise decay: a fixed starting noise scale shrinking linearly
-  each round, halted by the moment-tail bound of each client's own
+  each round, halted by the moment-tail bound of each client class's
   ``MomentLedger`` instead of a preset round count.
 """
 
@@ -100,29 +100,27 @@ def linear_decay_baseline(
 ) -> TrainingResult:
     """Linearly shrinking noise, halted by the cumulative moment accountant.
 
-    Round r uses ``sigma_start - slope*r`` per client, with
+    Round r uses ``sigma_start - slope*r`` per client class (ledger), with
     ``slope = slope_fraction * sigma_start / T``; ``slope_fraction=0``
-    keeps sigma fixed.  Before each round every client's ledger previews
+    keeps sigma fixed.  Before each round every class's ledger previews
     the charge ``run_round`` makes, and the run halts as soon as any
-    client's tail bound would exceed its delta at its epsilon — so at halt
+    class's tail bound would exceed its delta at its epsilon — so at halt
     the spent privacy is within budget and one more round would not be.
     """
     if not slope_fraction >= 0.0:
         raise ValueError(f"slope_fraction must be >= 0, got {slope_fraction}")
-    sigma_start = {
-        c.id: calibrate_sigma(c.budget, c.ledger.q, server.T, c.ledger.dl) for c in clients
-    }
-    slopes = {i: slope_fraction * s / server.T for i, s in sigma_start.items()}
+    ledgers = dict.fromkeys(c.ledger for c in clients)  # one per class
+    sigma_start = {led: calibrate_sigma(led.budget, led.q, server.T, led.dl) for led in ledgers}
+    slopes = {led: slope_fraction * s / server.T for led, s in sigma_start.items()}
 
     halt = "completed"
     while server.t < server.T:
-        r = server.t
-        sig = {i: sigma_start[i] - slopes[i] * r for i in sigma_start}
+        sig = {led: sigma_start[led] - slopes[led] * server.t for led in sigma_start}
         if any(s <= 0.0 for s in sig.values()):
             halt = "sigma_floor"
             break
-        if any(not c.ledger.within(extra_sigma=sig[c.id]) for c in clients):
+        if any(not led.within(extra_sigma=s) for led, s in sig.items()):
             halt = "accountant_halt"
             break
-        run_round(server, clients, cfg, test_eval, sigma_override=sig)
+        run_round(server, clients, cfg, test_eval, {c.id: sig[c.ledger] for c in clients})
     return TrainingResult(server.global_params, server.records, server.t, halt)

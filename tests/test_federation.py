@@ -590,6 +590,28 @@ def test_nan_sigma_override_rejected_before_any_draw_or_charge(noiseless, monkey
     assert all(c.sigma_history == [] for c in clients)
 
 
+def test_sigma_override_that_splits_a_shared_ledger_rejected_before_any_draw_or_charge(
+    monkeypatch,
+):
+    clients, cfg, server, test = spec_federation(SPECS[0], sizes=(6, 6, 4, 5, 9), epsilon=4.0)
+    clients[1].ledger = clients[0].ledger  # one class of two equal shards
+    start = server.global_params.copy()
+    draws = []
+    monkeypatch.setattr(federation, "_draw_noise", lambda rngs, block: draws.append(len(rngs)))
+    sigma_override = {c.id: 0.5 for c in clients}
+    sigma_override[1] = 0.6
+    with pytest.raises(ValueError, match="sharing a ledger"):
+        run_round(server, clients, cfg, test, sigma_override=sigma_override)
+    assert draws == [] and server.t == 0 and np.array_equal(server.global_params, start)
+    assert all(c.sigma_history == [] for c in clients)
+
+    monkeypatch.undo()
+    sigma_override[1] = 0.5  # one sigma for the class: its ledger is charged once
+    run_round(server, clients, cfg, test, sigma_override=sigma_override)
+    assert [len(c.sigma_history) for c in clients] == [1] * 5
+    assert clients[0].sigma_history is clients[1].sigma_history
+
+
 def _helper_runs_a_job_here():
     helper = federation._helper()
     sys.exit(helper.submit(os.getpid).result(timeout=30) != os.getpid())

@@ -1,5 +1,6 @@
 """Config, runner, sweep, pilot and CLI tests."""
 
+import collections
 import dataclasses
 import gc
 import json
@@ -141,6 +142,46 @@ def test_validation_rejects_a_non_integer_count(tmp_path, key, value):
     with pytest.raises(ConfigError):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("K", "3", "K must be an int, got '3'"),
+        ("eta", "0.1", "eta must be a number or null, got '0.1'"),
+        ("epsilon_p", None, "epsilon_p must be a number, got None"),
+        ("U", "6", "U must be an int, got '6'"),
+        ("clip_C", "1", "clip_C must be a number, got '1'"),
+        ("beta", None, "beta must be a number, got None"),
+        ("synth_margin", "1", "synth_margin must be a number, got '1'"),
+        ("slope_fraction", "x", "slope_fraction must be a number, got 'x'"),
+        ("T_init", "15", "T_init must be an int, got '15'"),
+        ("shard_size", True, "shard_size must be an int or null, got True"),
+        ("model_kind", 3, "model_kind must be a string, got 3"),
+        ("mnist_dir", 0, "mnist_dir must be a string or null, got 0"),
+        ("seeds", 1, "seeds must be a list, got 1"),
+    ],
+)
+def test_validation_lists_a_field_of_the_wrong_type(tmp_path, key, value, message):
+    base = svm_cfg(tmp_path)
+    for cfg in (
+        ExperimentConfig.from_dict(dict(SVM_BASE, **{key: value}, output_dir=base.output_dir)),
+        ExperimentConfig(**dict(dataclasses.asdict(base), **{key: value})),
+        dataclasses.replace(base, **{key: value}),
+    ):
+        assert cfg.validate() == [message]
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_validation_lists_every_field_of_the_wrong_type_and_nothing_else(tmp_path):
+    # K > U is a rule violation too, left out while a type is wrong
+    cfg = svm_cfg(tmp_path, K="3", beta=None, U=1, hinge=2)
+    assert cfg.validate() == [
+        "hinge must be a string, got 2", "K must be an int, got '3'",
+        "beta must be a number, got None",
+    ]
 
 
 def test_eta_defaults_per_model_kind():
@@ -322,7 +363,10 @@ def test_run_experiment_outputs_and_schema(tmp_path):
     assert all(r["trigger_fired"] == "0" for r in rows)
     sel = rows[0]["selected_clients"].split(";")
     assert len(sel) == 3 and sel == sorted(sel, key=int)
-    assert (tmp_path / "out" / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(manifest) == {
+        "resolved_config", "config_hash", "version", "wall_clock_sec", "outputs", "errors"
+    }
 
 
 def test_summary_is_derivable_from_rounds_csv(tmp_path):
@@ -420,6 +464,89 @@ def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
     cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
     assert rounds_csv_text(1, result.records) == cli_rounds
+
+
+def test_clients_of_one_shard_size_share_one_ledger(tmp_path):
+    sizes = (4, 6, 8, 10, 12)
+    cfg = svm_cfg(
+        tmp_path, partition_mode="unbalanced", shard_size=None, size_pattern=sizes, U=50, K=10
+    ).check()
+    shards, train_eval, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    ledgers = {len(c.shard): c.ledger for c in clients}
+    assert sorted(ledgers) == list(sizes) and len({id(c.ledger) for c in clients}) == 5
+    for c in clients:
+        assert c.ledger is ledgers[len(c.shard)]
+        assert c.sigma_history is ledgers[len(c.shard)].sigmas
+        assert c.ledger.dl == accountant.sensitivity(cfg.eta, cfg.clip_C, len(c.shard))
+    for _ in range(2):
+        federation.run_round(server, clients, fcfg, test)
+    assert all(led.rounds == 2 for led in ledgers.values())  # one charge per class a round
+
+
+def _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=False):
+    """A run over three shard sizes of two clients each, wired by ``build_simulation``
+    or rewired by hand to one ledger per client."""
+    cfg = svm_cfg(
+        tmp_path, partition_mode="unbalanced", shard_size=None, size_pattern=(10, 20, 30), U=6,
+        K=4, scheduler=scheduler, zeta=0.05, T_init=20, seeds=(1,),
+    ).check()
+    shards, train_eval, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    if one_ledger_per_client:
+        for c in clients:
+            c.ledger = MomentLedger(c.ledger.budget, c.ledger.q, c.ledger.dl)
+    return run_simulation(cfg, server, clients, fcfg, test), clients
+
+
+@pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
+def test_shared_class_ledgers_run_bitwise_as_one_ledger_per_client(tmp_path, scheduler):
+    shared, clients = _unbalanced_run(tmp_path, scheduler)
+    own, clients_own = _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=True)
+    assert len({id(c.ledger) for c in clients}) == 3
+    assert len({id(c.ledger) for c in clients_own}) == 6
+    assert shared.records == own.records and shared.stop_reason == own.stop_reason
+    assert np.array_equal(shared.params, own.params)
+    for a, b in zip(clients, clients_own):
+        assert np.array_equal(np.array(a.sigma_history), np.array(b.sigma_history))
+        assert len(a.sigma_history) == shared.realized_T > 0
+    assert any(r.trigger_fired for r in shared.records) == (scheduler == "crd")
+    if scheduler == "decay":
+        assert shared.stop_reason == "accountant_halt"
+
+
+@pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
+def test_each_round_recalibrates_or_previews_each_class_ledger_once(
+    tmp_path, scheduler, monkeypatch
+):
+    recalibrated, previewed = [], collections.Counter()
+    recalibrate, within = federation.recalibrate_sigma, MomentLedger.within
+
+    def counting_recalibrate(*args):
+        recalibrated.append(args[4])  # the ledger's own sigma list
+        return recalibrate(*args)
+
+    def counting_within(self, *args, **kwargs):
+        previewed[id(self)] += 1
+        return within(self, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "recalibrate_sigma", counting_recalibrate)
+    monkeypatch.setattr(MomentLedger, "within", counting_within)
+    result, clients = _unbalanced_run(tmp_path, scheduler)
+    rounds, ledgers = result.realized_T, list(dict.fromkeys(c.ledger for c in clients))
+    if scheduler == "decay":
+        assert recalibrated == []
+        # once per round, and at most once more for the check that halted the run
+        assert sorted(previewed) == sorted(id(led) for led in ledgers)
+        assert all(rounds <= n <= rounds + 1 for n in previewed.values())
+        assert sum(previewed.values()) <= 3 * rounds + 3
+    else:
+        assert len(recalibrated) == 3 * rounds and not previewed
+        for t in range(rounds):  # one call per ledger in round t, none per client
+            assert {id(h) for h in recalibrated[3 * t : 3 * t + 3]} == {
+                id(led.sigmas) for led in ledgers
+            }
+    assert all(led.rounds == rounds for led in ledgers)
 
 
 def test_decay_run_records_halt(tmp_path):
@@ -909,8 +1036,9 @@ def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):
         (dict(SVM_BASE, seeds=1), "seeds must be a list, got 1"),
         (dict(SVM_BASE, size_pattern=400), "size_pattern must be a list, got 400"),
         ([1, 2], "a config must be a JSON object, got list"),
+        (dict(SVM_BASE, K="3"), "K must be an int, got '3'"),
     ],
-    ids=["scalar-seeds", "scalar-size_pattern", "array"],
+    ids=["scalar-seeds", "scalar-size_pattern", "array", "string-K"],
 )
 def test_cli_rejects_a_malformed_config_file(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
