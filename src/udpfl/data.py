@@ -70,7 +70,8 @@ class Dataset:
 
     A ``subset`` of read-only data records ``rows_of = (source, rows)``: the
     dataset its rows were taken from and the index array or slice that took
-    them.  ``memo`` keeps values computed from the rows with the dataset, so
+    them; ``cut_from`` reads it to find the dataset that a list of shards
+    slices.  ``memo`` keeps values computed from the rows with the dataset, so
     they live as long as it does.
     """
 
@@ -128,6 +129,19 @@ class Dataset:
         if self.features.flags.writeable:
             return _sq_norms(self)
         return self.memo("sq_norms", _sq_norms)
+
+
+def cut_from(shards) -> Dataset | None:
+    """The read-only dataset that ``shards`` are consecutive row slices of, in order
+    and covering all its rows (a ``load_experiment_data`` gather); else None."""
+    whole = shards[0].rows_of[0] if shards and shards[0].rows_of else None
+    at = 0
+    for s in shards:
+        source, rows = s.rows_of or (None, None)
+        if source is not whole or not isinstance(rows, slice) or rows != slice(at, at + len(s)):
+            return None
+        at += len(s)
+    return whole if whole is not None and at == len(whole) else None
 
 
 def _row_blocks(n: int, dim: int):
@@ -337,30 +351,20 @@ def partition(dataset: Dataset, plan: PartitionPlan, U: int, seed: int) -> list[
     n = len(dataset)
     rng = np.random.default_rng(seed)
 
-    if plan.mode == "iid":
-        size = plan.shard_size if plan.shard_size is not None else n // U
-        if size * U > n:
-            raise ValueError(f"iid plan needs {size * U} samples, dataset has {n}")
-        order = rng.permutation(n)
-        return [order[i * size : (i + 1) * size] for i in range(U)]
-
-    if plan.mode == "unbalanced":
-        if U % len(plan.size_pattern) != 0:
-            raise ValueError(
-                f"unbalanced mode needs U divisible by {len(plan.size_pattern)}, got U={U}"
-            )
-        per_group = U // len(plan.size_pattern)
-        sizes = [plan.size_pattern[i // per_group] for i in range(U)]
+    if plan.mode in ("iid", "unbalanced"):  # one permutation, cut at the shard sizes
+        if plan.mode == "iid":
+            sizes = [plan.shard_size if plan.shard_size is not None else n // U] * U
+        else:
+            if U % len(plan.size_pattern) != 0:
+                raise ValueError(
+                    f"unbalanced mode needs U divisible by {len(plan.size_pattern)}, got U={U}"
+                )
+            per_group = U // len(plan.size_pattern)
+            sizes = [plan.size_pattern[i // per_group] for i in range(U)]
         if sum(sizes) > n:
-            raise ValueError(f"unbalanced plan needs {sum(sizes)} samples, dataset has {n}")
-        order = rng.permutation(n)
-        shards, start = [], 0
-        for s in sizes:
-            shards.append(order[start : start + s])
-            start += s
-        return shards
+            raise ValueError(f"{plan.mode} plan needs {sum(sizes)} samples, dataset has {n}")
+        return np.split(rng.permutation(n), np.cumsum(sizes))[:U]
 
-    # label_skew
     if np.any(dataset.labels < 0):
         raise ValueError("label_skew needs nonnegative class labels")
     lpc = plan.labels_per_client

@@ -9,11 +9,12 @@ noise; the server aggregates the uploads by weight and evaluates the new
 model on the clients' rows (loss) and on the test set (loss and accuracy).
 
 Per run, the server stacks the clients' rows in client order (``clients[i].id``
-must be i) and checks their labels once.  A round's train-loss forward pass is
-the one the next round's local steps start from, and one backward pass over it
-serves every selected client.  Once the noise is drawn, each noised upload is
-added to one accumulator as it would be by ``add_noise`` then ``aggregate``,
-with the same rounding and client-id order.
+must be i) and checks their labels once; shards that slice one gather in order
+(``data.cut_from``) are stacked as that gather's own arrays, without a copy.  A
+round's train-loss forward pass is the one the next round's local steps start
+from, and one backward pass over it serves every selected client.  Each upload
+is noised in place as ``add_noise`` rounds it, and ``aggregate`` folds the
+uploads in client-id order.
 
 Each process has one helper thread, made on first use, and none where the
 process may use one CPU only.  In a round it draws the noisy clients' standard
@@ -51,6 +52,7 @@ import numpy as np
 
 from . import ConfigError, _is_int
 from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
+from .data import cut_from
 from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward, _forward_buffers
 # accuracy, local_update and loss have no caller here; perfbench/layers.py wraps them by name
 from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_accuracy
@@ -161,19 +163,15 @@ def add_noise(params: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
     return params + sigma * rng.standard_normal(params.shape)
 
 
-def _check_weights(weights) -> None:
-    weights = np.array(weights, dtype=float)
+def aggregate(uploads: list) -> np.ndarray:
+    """Weighted coordinate-wise average of (weight, params) uploads, summed in order."""
+    weights = np.array([w for w, _ in uploads], dtype=float)
     if not weights.size:
         raise ValueError("no uploads to aggregate")
     if np.any(weights <= 0):
         raise ValueError("aggregation weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"aggregation weights sum to {weights.sum()!r}, not 1")
-
-
-def aggregate(uploads: list) -> np.ndarray:
-    """Weighted coordinate-wise average of (weight, params) uploads."""
-    _check_weights([w for w, _ in uploads])
     out = np.zeros_like(uploads[0][1])
     for w, p in uploads:
         out += w * p
@@ -242,17 +240,6 @@ def _round_sigmas(clients: list, T: int) -> dict:
             for led in dict.fromkeys(c.ledger for c in clients if not c.noiseless)}
 
 
-def _row_stack(arrays: tuple) -> np.ndarray:
-    """The arrays' rows stacked; a view if they are consecutive row ranges of one buffer."""
-    first, at = arrays[0], arrays[0].ctypes.data
-    for a in arrays:
-        if not (a.base is first.base is not None and a.flags.c_contiguous and a.ctypes.data == at):
-            return np.concatenate(arrays)
-        at += a.nbytes
-    shape = (sum(map(len, arrays)), *first.shape[1:])
-    return np.lib.stride_tricks.as_strided(first, shape, writeable=False)
-
-
 class _Stacked:
     """Per-run state of ``run_round``: the clients' rows stacked in client order,
     and buffers holding one forward pass over them at ``self.params``."""
@@ -264,10 +251,14 @@ class _Stacked:
         self.X, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
         ends = np.cumsum([len(x) for x in self.X])
         self.rows = [slice(e - len(x), e) for x, e in zip(self.X, ends)]
-        # the shards' memoized row norms: one view if they are consecutive slices of one gather
-        self.y = np.concatenate(ys)
-        self.sq_norms = _row_stack(tuple(s.sq_norms for s in self.shards))
-        self.fwd = _forward_buffers(spec, _row_stack(self.X))
+        whole = cut_from(self.shards)
+        if whole is None:
+            X, self.y = np.concatenate(self.X), np.concatenate(ys)
+            self.sq_norms = np.concatenate([s.sq_norms for s in self.shards])
+        else:  # the gather holds the shards' rows in order; its float rows serve as they are
+            X, self.y = np.ascontiguousarray(whole.features, dtype=float), whole.labels
+            self.sq_norms = whole.sq_norms
+        self.fwd = _forward_buffers(spec, X)
         self.noise = np.empty((0, len(params)))
 
     def noise_rows(self, k: int) -> np.ndarray:
@@ -295,16 +286,18 @@ def run_round(
 
     ``clients[i].id`` must be i.  The train loss is over the clients' rows, and
     its forward pass feeds the next round's local steps.  ``sigma_override``
-    (client id -> noise scale, one per ledger) bypasses the budget recalibration
-    — used by externally-scheduled baselines, which check the same ledgers with
-    their own halting rule before each round.
+    (class ledger -> noise scale) bypasses the budget recalibration — used by
+    externally-scheduled baselines, which check the same ledgers with their own
+    halting rule before each round.  Its keys must be exactly the noisy
+    clients' ledgers and its values > 0, or it raises ``ValueError`` before any
+    draw, charge or parameter change.
 
     Order: refill the stacked forward if the parameters moved; noise scales
     (may raise ``BudgetExhausted``); selection; the helper draws the noisy
     selected clients' z while this thread runs the backward pass and the
-    clipped steps; once the draws are done, ``w * (local + sigma * z)`` is
-    summed in client-id order; the helper evaluates ``test_eval`` while this
-    thread forwards the clients' rows.  Every helper job is joined before the
+    clipped steps; once the draws are done, each step takes ``sigma * z`` in
+    place and ``aggregate`` folds the steps; the helper evaluates ``test_eval``
+    while this thread forwards the clients' rows.  Every helper job is joined before the
     round goes on or raises (the module docstring says why the thread
     schedule cannot show in the outputs).
     """
@@ -320,29 +313,25 @@ def run_round(
         st.fill(params)
     if sigma_override is None:  # one charge per ledger, shared by the clients of a class
         charges = _round_sigmas(clients, server.T)
-        sigmas = {c.id: charges.get(c.ledger, 0.0) for c in clients}
     else:
-        sigmas = {c.id: float(sigma_override[c.id]) for c in clients}
-        # rejects NaN too, which no upload or ledger may take
-        if not all(sigmas[c.id] > 0.0 or c.noiseless and sigmas[c.id] == 0.0 for c in clients):
-            raise ValueError("sigma_override must be > 0 for a noisy client, >= 0 for the rest")
-        charges = {c.ledger: sigmas[c.id] for c in clients if not c.noiseless}
-        if any(charges[c.ledger] != sigmas[c.id] for c in clients if not c.noiseless):
-            raise ValueError("sigma_override must give the clients sharing a ledger one sigma")
+        charges = {led: float(s) for led, s in sigma_override.items()}
+        ledgers = {c.ledger for c in clients if not c.noiseless}
+        # > 0 rejects NaN too, which no upload or ledger may take
+        if charges.keys() != ledgers or not all(s > 0.0 for s in charges.values()):
+            raise ValueError("sigma_override must map the noisy clients' ledgers to sigmas > 0")
     selected = sample_clients(len(clients), cfg.K, _selection_rng(cfg.seed, rnd))
+    sigmas = {i: charges.get(clients[i].ledger, 0.0) for i in selected}
 
     if cfg.weight_mode == "by_size":
         total = sum(len(clients[i].shard) for i in selected)
         weights = [len(clients[i].shard) / total for i in selected]
     else:
         weights = [1.0 / cfg.K] * len(selected)
-    _check_weights(weights)
     noisy = [i for i in selected if sigmas[i] != 0.0]  # as add_noise: sigma 0 draws nothing
     rows = st.noise_rows(len(noisy))
     z = dict(zip(noisy, rows))
     # the generators are built on this thread: that work holds the GIL, the fill does not
     rngs = [_noise_rng(cfg.seed, i, rnd) for i in noisy]
-    new_params = np.zeros_like(params)
     with _on_helper(rows.nbytes, _draw_noise, rngs, rows) as drawn:
         norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
         factors = _clip_factors(norms2, cfg.clip)
@@ -350,10 +339,10 @@ def run_round(
         steps = [params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
                  for i in selected]
         drawn.result()
-        for i, w, upload in zip(selected, weights, steps):  # rounded as add_noise, then aggregate
-            if i in z:
-                upload += np.multiply(z[i], sigmas[i], out=z[i])
-            new_params += np.multiply(upload, w, out=upload)
+    for i, upload in zip(selected, steps):  # rounded as add_noise
+        if i in z:
+            upload += np.multiply(z[i], sigmas[i], out=z[i])
+    new_params = aggregate(list(zip(weights, steps)))
 
     X_test, y_test = test_eval.features, test_eval.labels
     with _on_helper(X_test.nbytes, loss_and_accuracy, spec, new_params, X_test, y_test) as tested:
@@ -366,7 +355,7 @@ def run_round(
     record = RoundRecord(
         round=rnd,
         T_at_start=server.T,
-        sigma_by_client={i: sigmas[i] for i in selected},
+        sigma_by_client=sigmas,
         train_loss=train_loss,
         test_loss=test_loss,
         test_accuracy=test_acc,

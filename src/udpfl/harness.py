@@ -27,7 +27,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from .data import (
     MNIST_FILES,
     Dataset,
     PartitionPlan,
+    cut_from,
     load_csv_dataset,
     load_mnist,
     mnist_dir,
@@ -77,8 +77,8 @@ _CONFIG_KEYS = dict(
     kind="model_kind", mode="partition_mode", epsilon="epsilon_p", delta="delta_p", clip="clip_C",
     input_dim="synth_dim",
 )
-# the values each field annotation takes: a bool is never a count or a rate
-_FIELD_TYPES = dict(str=(str, "a string"), int=(Real, "an int"), float=(Real, "a number"),
+# each annotation's values, as JSON writes them: no bool, no numpy scalar (np.float64 is a float)
+_FIELD_TYPES = dict(str=(str, "a string"), int=(int, "an int"), float=((int, float), "a number"),
                     tuple=((tuple, list), "a list"))
 
 
@@ -132,9 +132,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
         d = dict(d)  # validate() reports any other value of the wrong type
-        if isinstance(d.get("epsilon_p"), str):
-            if d["epsilon_p"].lower() not in ("inf", "infinity"):
-                raise ConfigError([f"epsilon_p must be a number or 'inf', got {d['epsilon_p']!r}"])
+        if isinstance(d.get("epsilon_p"), str) and d["epsilon_p"].lower() in ("inf", "infinity"):
             d["epsilon_p"] = math.inf
         d.update({k: tuple(d[k]) for k in ("seeds", "size_pattern") if isinstance(d.get(k), list)})
         return ExperimentConfig(**d)
@@ -198,9 +196,9 @@ class ExperimentConfig:
             v.append("svm needs binary +1/-1 labels; mnist is 10-class")
         if synthetic and not 0 < cfg.synth_margin < math.inf:
             v.append(f"synth_margin must be finite and > 0, got {cfg.synth_margin}")
-        if synthetic and not (_is_int(cfg.synth_n_test) and cfg.synth_n_test >= 1):
+        if synthetic and not cfg.synth_n_test >= 1:
             v.append(f"synth_n_test must be an int >= 1, got {cfg.synth_n_test}")
-        if not (_is_int(cfg.data_seed) and cfg.data_seed >= 0):  # as SeedSequence
+        if not cfg.data_seed >= 0:  # as SeedSequence
             v.append(f"data_seed must be an int >= 0, got {cfg.data_seed}")
         if synthetic and cfg.model_kind != "svm":
             v.append("synthetic data is binary +1/-1; use model_kind svm")
@@ -210,7 +208,7 @@ class ExperimentConfig:
             v.append("synthetic data needs shard_size to size the pool")
         if cfg.partition_mode == "unbalanced" and cfg.U % max(len(cfg.size_pattern), 1):
             v.append(f"unbalanced mode needs U divisible by {len(cfg.size_pattern)}")
-        if not (_is_int(cfg.U) and cfg.U >= 1):
+        if not cfg.U >= 1:
             v.append(f"U must be an int >= 1, got {cfg.U}")
         if cfg.K > cfg.U:
             v.append(f"need K <= U, got K={cfg.K}, U={cfg.U}")
@@ -221,15 +219,18 @@ class ExperimentConfig:
             v.append("scheduler decay needs a finite epsilon_p")
         if not cfg.slope_fraction >= 0:
             v.append(f"slope_fraction must be >= 0, got {cfg.slope_fraction}")
+        bad_sizes = [n for n in cfg.size_pattern if type(n) is not int]  # as JSON writes
+        if bad_sizes:
+            v.append(f"size_pattern entries must be ints, got {bad_sizes}")
         if not cfg.seeds:
             v.append("seeds must be nonempty")
-        bad_seeds = [s for s in cfg.seeds if not (_is_int(s) and s >= 0)]  # as SeedSequence
+        bad_seeds = [s for s in cfg.seeds if not (type(s) is int and s >= 0)]  # as SeedSequence
         if bad_seeds:
             v.append(f"seeds must be ints >= 0, got {bad_seeds}")
         elif len(set(cfg.seeds)) < len(cfg.seeds):  # each seed writes its own seed_<n>/
             repeated = sorted({s for s in cfg.seeds if cfg.seeds.count(s) > 1})
             v.append(f"seeds must be distinct, got {repeated} more than once")
-        if not (_is_int(cfg.workers) and cfg.workers >= 1):
+        if not cfg.workers >= 1:
             v.append(f"workers must be an int >= 1, got {cfg.workers}")
         # round-0 noise calibration must be well-posed before any data loads
         if not v and math.isfinite(cfg.epsilon_p):
@@ -381,16 +382,10 @@ def _gram_top(datasets) -> float:
 def _covered_pool(shards) -> Dataset | None:
     """The pool whose rows ``shards`` hold, if they are every shard, in order, of one
     ``load_experiment_data`` partition that covers every pool row; else None."""
-    whole = shards[0].rows_of[0] if shards and shards[0].rows_of else None
-    if whole is None or not whole.memo(_COVERS_POOL, lambda _: False):
+    gather = cut_from(shards)
+    if gather is None or not gather.memo(_COVERS_POOL, lambda _: False):
         return None
-    at = 0
-    for s in shards:
-        source, rows = s.rows_of or (None, None)
-        if source is not whole or not isinstance(rows, slice) or rows != slice(at, at + len(s)):
-            return None
-        at += len(s)
-    return whole.rows_of[0] if at == len(whole) else None
+    return gather.rows_of[0]
 
 
 def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
@@ -532,7 +527,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     cfg = cfg.check()
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     started = time.monotonic()
-    results = []
     if cfg.workers > 1 and len(cfg.seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [

@@ -79,7 +79,6 @@ class CrdScheduler:
     def __init__(self, cfg: CrdConfig, initial_v: float) -> None:
         self.cfg = cfg
         self.prev_v = initial_v
-        self.decisions: list[SchedulerDecision] = []
 
     def __call__(self, server: ServerState, record) -> None:
         v = record.test_loss
@@ -87,7 +86,6 @@ class CrdScheduler:
             decision = crd_step(self.prev_v, v, server.t, server.T, self.cfg)
             server.T = decision.new_T
             record.trigger_fired = decision.triggered
-            self.decisions.append(decision)
         self.prev_v = v
 
 
@@ -106,6 +104,7 @@ def linear_decay_baseline(
     the charge ``run_round`` makes, and the run halts as soon as any
     class's tail bound would exceed its delta at its epsilon — so at halt
     the spent privacy is within budget and one more round would not be.
+    The round takes the same ledger -> sigma map as its ``sigma_override``.
     """
     if not slope_fraction >= 0.0:
         raise ValueError(f"slope_fraction must be >= 0, got {slope_fraction}")
@@ -122,5 +121,5 @@ def linear_decay_baseline(
         if any(not led.within(extra_sigma=s) for led, s in sig.items()):
             halt = "accountant_halt"
             break
-        run_round(server, clients, cfg, test_eval, {c.id: sig[c.ledger] for c in clients})
+        run_round(server, clients, cfg, test_eval, sig)
     return TrainingResult(server.global_params, server.records, server.t, halt)

@@ -349,7 +349,7 @@ def test_nonpositive_sigma_override_rejected_before_any_charge():
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(
             server, clients, cfg, test,
-            sigma_override={c.id: 0.0 if c.id == 3 else 0.5 for c in clients},
+            sigma_override={c.ledger: 0.0 if c.id == 3 else 0.5 for c in clients},
         )
     assert server.t == 0 and len(server.records) == 0
     assert all(c.sigma_history == [] for c in clients)
@@ -518,14 +518,15 @@ def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
 ):
     monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
     clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
-    # the decay baseline's path: a fixed scale per client, distinct per client
-    sigma_override = {c.id: 0.05 * (c.id + 1) for c in clients} if override else None
+    # the decay baseline's path: a fixed scale per class ledger, here one ledger per client
+    sigma_override = {c.ledger: 0.05 * (c.id + 1) for c in clients} if override else None
     want = server.global_params.copy()
     for rnd in range(3):
         rec = run_round(server, clients, cfg, test, sigma_override=sigma_override)
         assert all(s > 0 for s in rec.sigma_by_client.values())
         if override:
-            assert rec.sigma_by_client == {i: sigma_override[i] for i in rec.selected}
+            want_sigmas = {i: sigma_override[clients[i].ledger] for i in rec.selected}
+            assert rec.sigma_by_client == want_sigmas
         want = noisy_reference_round(spec, want, clients, cfg, rnd, rec.sigma_by_client)
         assert np.array_equal(server.global_params, want)
     assert len({r.selected for r in server.records}) > 1
@@ -573,7 +574,7 @@ def test_negative_sigma_override_rejected_before_any_charge():
     clients, cfg, server, test = spec_federation(SPECS[0], K=5)  # every client noiseless
     start = server.global_params.copy()
     with pytest.raises(ValueError, match="sigma_override"):
-        run_round(server, clients, cfg, test, sigma_override={c.id: -0.1 for c in clients})
+        run_round(server, clients, cfg, test, sigma_override={c.ledger: -0.1 for c in clients})
     assert server.t == 0 and np.array_equal(server.global_params, start)
 
 
@@ -583,33 +584,37 @@ def test_nan_sigma_override_rejected_before_any_draw_or_charge(noiseless, monkey
     start = server.global_params.copy()
     draws = []
     monkeypatch.setattr(federation, "_draw_noise", lambda rngs, block: draws.append(len(rngs)))
-    sigma_override = {c.id: float("nan") if c.id == 2 else 0.5 for c in clients}
+    sigma_override = {c.ledger: float("nan") if c.id == 2 else 0.5 for c in clients}
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(server, clients, cfg, test, sigma_override=sigma_override)
     assert draws == [] and server.t == 0 and np.array_equal(server.global_params, start)
     assert all(c.sigma_history == [] for c in clients)
 
 
-def test_sigma_override_that_splits_a_shared_ledger_rejected_before_any_draw_or_charge(
-    monkeypatch,
-):
+def test_sigma_override_charges_a_shared_ledger_once():
     clients, cfg, server, test = spec_federation(SPECS[0], sizes=(6, 6, 4, 5, 9), epsilon=4.0)
     clients[1].ledger = clients[0].ledger  # one class of two equal shards
+    run_round(server, clients, cfg, test, sigma_override={c.ledger: 0.5 for c in clients})
+    assert [len(c.sigma_history) for c in clients] == [1] * 5
+    assert clients[0].sigma_history is clients[1].sigma_history
+
+
+@pytest.mark.parametrize("case", ["missing_noisy", "extra_noiseless"])
+def test_sigma_override_not_keyed_by_the_noisy_ledgers_rejected_before_any_draw_or_charge(
+    case, monkeypatch
+):
+    clients, cfg, server, test = spec_federation(SPECS[0], K=5, epsilon=4.0)
+    clients[1] = ClientState(1, clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
+    sigma_override = {c.ledger: 0.5 for c in clients}
+    if case == "missing_noisy":
+        del sigma_override[clients[1].ledger], sigma_override[clients[3].ledger]
     start = server.global_params.copy()
     draws = []
     monkeypatch.setattr(federation, "_draw_noise", lambda rngs, block: draws.append(len(rngs)))
-    sigma_override = {c.id: 0.5 for c in clients}
-    sigma_override[1] = 0.6
-    with pytest.raises(ValueError, match="sharing a ledger"):
+    with pytest.raises(ValueError, match="sigma_override"):
         run_round(server, clients, cfg, test, sigma_override=sigma_override)
     assert draws == [] and server.t == 0 and np.array_equal(server.global_params, start)
     assert all(c.sigma_history == [] for c in clients)
-
-    monkeypatch.undo()
-    sigma_override[1] = 0.5  # one sigma for the class: its ledger is charged once
-    run_round(server, clients, cfg, test, sigma_override=sigma_override)
-    assert [len(c.sigma_history) for c in clients] == [1] * 5
-    assert clients[0].sigma_history is clients[1].sigma_history
 
 
 def _helper_runs_a_job_here():

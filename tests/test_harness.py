@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from udpfl import accountant, cli, federation, harness
 from udpfl.accountant import MomentLedger, PrivacyBudget
-from udpfl.data import Dataset, PartitionPlan, partition, synth_linear
+from udpfl.data import Dataset, PartitionPlan, cut_from, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
     ROUNDS_COLUMNS,
@@ -72,8 +72,9 @@ def test_epsilon_inf_sentinel_roundtrip():
     cfg = ExperimentConfig.from_dict({"epsilon_p": "inf"})
     assert math.isinf(cfg.epsilon_p)
     assert cfg.to_dict()["epsilon_p"] == "inf"
-    with pytest.raises(ConfigError, match="epsilon_p"):
-        ExperimentConfig.from_dict({"epsilon_p": "lots"})
+    assert math.isinf(ExperimentConfig.from_dict({"epsilon_p": "Infinity"}).epsilon_p)
+    lots = ExperimentConfig.from_dict({"epsilon_p": "lots"})
+    assert lots.validate() == ["epsilon_p must be a number, got 'lots'"]
 
 
 def test_validation_lists_every_violation():
@@ -105,11 +106,14 @@ def test_validation_rejects_a_seed_that_is_not_an_int_ge_0(tmp_path, seed):
     with pytest.raises(ConfigError):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
-    assert svm_cfg(tmp_path, seeds=[0, np.int64(2)]).validate() == []
+    numpy_seed = [np.int64(2)]
+    assert svm_cfg(tmp_path, seeds=[0, *numpy_seed]).validate() == [
+        f"seeds must be ints >= 0, got {numpy_seed}"
+    ]
 
 
 def test_validation_rejects_a_repeated_seed(tmp_path):
-    cfg = svm_cfg(tmp_path, seeds=[1, 2, 1, np.int64(2), 3])
+    cfg = svm_cfg(tmp_path, seeds=[1, 2, 1, 2, 3])
     assert cfg.validate() == ["seeds must be distinct, got [1, 2] more than once"]
     with pytest.raises(ConfigError):
         run_experiment(cfg)
@@ -172,6 +176,29 @@ def test_validation_lists_a_field_of_the_wrong_type(tmp_path, key, value, messag
         assert cfg.validate() == [message]
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("K", np.int64(2)),
+        ("workers", np.int64(1)),
+        ("clip_C", np.int64(1)),
+        ("eta", np.float32(0.01)),
+        ("seeds", (1, np.int64(2))),
+        ("size_pattern", (10, np.int64(20), 30)),
+    ],
+)
+def test_validation_rejects_a_numpy_scalar_that_json_cannot_write(tmp_path, key, value):
+    over = {key: value}
+    if key == "size_pattern":  # where PartitionPlan reads the pattern and takes numpy ints
+        over.update(partition_mode="unbalanced", shard_size=None, U=6)
+    cfg = svm_cfg(tmp_path, **over)
+    violations = cfg.validate()
+    assert [v for v in violations if v.startswith(f"{key} ")], violations
+    with pytest.raises(ConfigError):  # not config_hash's TypeError
+        run_experiment(cfg)
     assert not (tmp_path / "out").exists()
 
 
@@ -917,6 +944,33 @@ def test_stacked_sq_norms_are_the_shards_row_sums_of_squares(tmp_path, fresh_poo
         st = stacked(build_model_spec(covering, train_eval), shards)
         want = [(x * x).sum(1) for x in (np.asarray(s.features, dtype=float) for s in shards)]
         assert st.sq_norms.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_stacked_rows_are_the_gathers_own_arrays_else_the_shards_concatenated(
+    tmp_path, fresh_pool
+):
+    cfg = svm_cfg(tmp_path).check()
+    shards, train_eval, _ = load_experiment_data(cfg, 1)
+    spec = build_model_spec(cfg, train_eval)
+    st = stacked(spec, shards)
+    assert cut_from(shards) is train_eval
+    assert np.shares_memory(st.fwd[0][0], train_eval.features)
+    assert np.shares_memory(st.sq_norms, train_eval.sq_norms)
+    X = np.random.default_rng(5).normal(size=(30, cfg.synth_dim))
+    signs = np.where(np.arange(30) % 2, 1, -1)
+    writable = Dataset(X, signs, 2)
+    cases = {
+        "hand-built": [Dataset(X[:10], signs[:10], 2), Dataset(X[10:], signs[10:], 2)],
+        "reordered": shards[::-1],
+        "prefix": shards[:-1],
+        "writable": [writable.subset(slice(0, 10)), writable.subset(slice(10, 30))],
+    }
+    for name, case in cases.items():
+        st = stacked(spec, case)
+        assert cut_from(case) is None, name
+        assert st.fwd[0][0].tobytes() == np.concatenate([s.features for s in case]).tobytes()
+        assert st.sq_norms.tobytes() == np.concatenate([s.sq_norms for s in case]).tobytes()
+        assert np.array_equal(st.y, np.concatenate([s.labels for s in case])), name
 
 
 def test_eta_guard_errors_match_across_worker_counts(tmp_path, fresh_pool):

@@ -51,7 +51,6 @@ def test_every_traced_site_resolves():
 NEVER_CALLED = {
     "federation.accuracy",
     "federation.add_noise",
-    "federation.aggregate",
     "federation.evaluate",
     "federation.local_update",
     "federation.loss",
