@@ -36,7 +36,7 @@ CALIBRATION_COLUMNS = ("epsilon", "delta", "q", "T", "sensitivity", "sigma")
 MOMENT_COLUMNS = ("q", "sigma", "lambda", "log_D10", "log_D01", "log_bound")
 
 
-def _num_list(text: str) -> list:
+def _num_list(text: str) -> tuple:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -46,10 +46,10 @@ def _num_list(text: str) -> list:
             out.append(int(tok))
         except ValueError:
             out.append(float(tok))
-    return out
+    return tuple(out)
 
 
-def _int_list(text: str, option: str) -> list:
+def _int_list(text: str, option: str) -> tuple:
     """``_num_list`` for an option that takes integers only: a float is an error, not
     truncated."""
     values = _num_list(text)
@@ -60,34 +60,20 @@ def _int_list(text: str, option: str) -> list:
 
 
 def _config_with_overrides(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    mapping = {
-        "scheduler": "scheduler",
-        "beta": "beta",
-        "zeta": "zeta",
-        "t_init": "T_init",
-        "epsilon": "epsilon_p",
-        "workers": "workers",
-        "output_dir": "output_dir",
-    }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(_num_list(args.seeds))  # validate() rejects a non-int
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return dataclasses.replace(ExperimentConfig.from_json(args.config), **overrides)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
+    # each option's dest is the config field it overrides
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--scheduler", choices=("fixed", "crd", "decay"))
     p.add_argument("--beta", type=float)
     p.add_argument("--zeta", type=float)
-    p.add_argument("--t-init", dest="t_init", type=int)
-    p.add_argument("--epsilon", type=float, help="override epsilon_p")
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--t-init", dest="T_init", type=int)
+    p.add_argument("--epsilon", dest="epsilon_p", type=float, help="override epsilon_p")
+    p.add_argument("--seeds", type=_num_list, help="comma-separated seed list")
     p.add_argument("--workers", type=int)
     p.add_argument("--output-dir", dest="output_dir")
 

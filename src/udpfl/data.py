@@ -1,4 +1,4 @@
-"""Dataset loading, synthesis, and client partitioning.
+"""Dataset loading, synthesis, client partitioning and each seed's cut.
 
 Datasets are immutable feature/label array pairs.  MNIST is read from the
 IDX binary files on disk (located via an explicit path or the MNIST_DIR
@@ -9,14 +9,17 @@ A dataset with read-only features keeps what is computed from its rows in
 its memo, freed with it; its rows' squared norms are kept there, and a subset
 of it gathers or slices them instead of reading its rows again.
 
-Partitioning supports three client layouts:
+A ``PartitionPlan`` states each shard size (``sizes``) in one of three layouts:
 
 * ``iid`` — seeded shuffle, equal consecutive shards;
 * ``label_skew`` — every client holds exactly ``labels_per_client``
   distinct classes (default 4), equal counts per class, with the class
   subsets distinct across clients;
-* ``unbalanced`` — clients split into five equal groups whose shard sizes
-  follow a 400:600:800:1000:1200 pattern.
+* ``unbalanced`` — consecutive equal client groups whose shard sizes
+  follow ``size_pattern`` (default 400:600:800:1000:1200).
+
+``partition`` draws a seed's disjoint index arrays; ``cut`` gathers their rows,
+read-only, into row-range shard views that ``cut_from`` and ``pool_of`` trace back.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ MNIST_MD5 = {
 MNIST_MIRROR = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 
 DEFAULT_MNIST_DIR = Path.home() / ".cache" / "udpfl" / "mnist"
+
+_POOL = "covered_pool"  # memo name of a cut's gather: the pool it holds every row of, or None
 
 
 class IdxParseError(ValueError):
@@ -131,9 +136,26 @@ class Dataset:
         return self.memo("sq_norms", _sq_norms)
 
 
+def _read_only(ds: Dataset) -> Dataset:
+    ds.features.flags.writeable = False
+    ds.labels.flags.writeable = False
+    return ds
+
+
+def cut(pool: Dataset, shard_idx) -> tuple[Dataset, list[Dataset]]:
+    """``(gather, shards)``: the read-only gather of the disjoint index arrays'
+    rows of ``pool``, in order, and each shard as a row-range view of it."""
+    rows = np.concatenate(shard_idx)
+    gather = _read_only(pool.subset(rows))
+    # the index arrays are disjoint, so as many rows as the pool holds are all of them
+    gather.memo(_POOL, lambda _: pool if len(rows) == len(pool) else None)
+    ends = np.cumsum([len(idx) for idx in shard_idx])
+    return gather, [gather.subset(slice(e - len(idx), e)) for idx, e in zip(shard_idx, ends)]
+
+
 def cut_from(shards) -> Dataset | None:
     """The read-only dataset that ``shards`` are consecutive row slices of, in order
-    and covering all its rows (a ``load_experiment_data`` gather); else None."""
+    and covering all its rows (a ``cut``'s gather); else None."""
     whole = shards[0].rows_of[0] if shards and shards[0].rows_of else None
     at = 0
     for s in shards:
@@ -142,6 +164,13 @@ def cut_from(shards) -> Dataset | None:
             return None
         at += len(s)
     return whole if whole is not None and at == len(whole) else None
+
+
+def pool_of(shards) -> Dataset | None:
+    """The pool whose rows ``shards`` hold, if they are every shard, in order, of one
+    ``cut`` that covers its pool; else None."""
+    gather = cut_from(shards)
+    return None if gather is None else gather.memo(_POOL, lambda _: None)
 
 
 def _row_blocks(n: int, dim: int):
@@ -167,10 +196,10 @@ def _sq_norms(ds: Dataset) -> np.ndarray:
 class PartitionPlan:
     """How to split a dataset across U clients.
 
-    ``shard_size`` is the per-client sample count for iid/label_skew
-    (None = equal split of the whole dataset).  ``size_pattern`` gives the
-    per-group sizes for the unbalanced mode; U must be a multiple of the
-    pattern length and consecutive client groups get consecutive sizes.
+    ``shard_size`` is the per-client sample count for iid/label_skew (None =
+    equal split of the whole dataset; for label_skew, a multiple of
+    ``labels_per_client``).  Unbalanced mode gives consecutive equal client groups
+    the consecutive ``size_pattern`` sizes; U must be a multiple of its length.
     """
 
     mode: str
@@ -184,13 +213,30 @@ class PartitionPlan:
             v.append(f"mode must be iid|label_skew|unbalanced, got {self.mode!r}")
         if self.shard_size is not None and not (_is_int(self.shard_size) and self.shard_size >= 1):
             v.append(f"shard_size must be an int >= 1, got {self.shard_size}")
-        if not (_is_int(self.labels_per_client) and self.labels_per_client >= 1):
-            v.append(f"labels_per_client must be an int >= 1, got {self.labels_per_client}")
+        lpc = self.labels_per_client
+        if not (_is_int(lpc) and lpc >= 1):
+            v.append(f"labels_per_client must be an int >= 1, got {lpc}")
+        elif self.mode == "label_skew" and _is_int(self.shard_size) and self.shard_size % lpc:
+            v.append(f"shard_size must be a multiple of labels_per_client ({lpc}) "
+                     f"in label_skew mode, got {self.shard_size}")
         sizes = self.size_pattern
         if self.mode == "unbalanced" and not (sizes and all(_is_int(n) and n >= 1 for n in sizes)):
             v.append(f"size_pattern must be nonempty, entries ints >= 1, got {sizes}")
         if v:
             raise ConfigError(v)
+
+    def sizes(self, U: int, n: int | None = None) -> list:
+        """The U shard sizes over ``n`` pool rows; one that depends on n is None without it."""
+        if self.mode == "unbalanced":
+            groups = len(self.size_pattern)
+            if U % groups != 0:
+                raise ValueError(f"unbalanced mode needs U divisible by {groups}, got U={U}")
+            return [size for size in self.size_pattern for _ in range(U // groups)]
+        size = self.shard_size
+        if size is None and n is not None:
+            lpc = self.labels_per_client if self.mode == "label_skew" else 1
+            size = (n // U) // lpc * lpc
+        return [size] * U
 
 
 def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:
@@ -350,26 +396,17 @@ def partition(dataset: Dataset, plan: PartitionPlan, U: int, seed: int) -> list[
         raise ValueError(f"U must be >= 1, got {U}")
     n = len(dataset)
     rng = np.random.default_rng(seed)
+    sizes = plan.sizes(U, n)
 
     if plan.mode in ("iid", "unbalanced"):  # one permutation, cut at the shard sizes
-        if plan.mode == "iid":
-            sizes = [plan.shard_size if plan.shard_size is not None else n // U] * U
-        else:
-            if U % len(plan.size_pattern) != 0:
-                raise ValueError(
-                    f"unbalanced mode needs U divisible by {len(plan.size_pattern)}, got U={U}"
-                )
-            per_group = U // len(plan.size_pattern)
-            sizes = [plan.size_pattern[i // per_group] for i in range(U)]
         if sum(sizes) > n:
             raise ValueError(f"{plan.mode} plan needs {sum(sizes)} samples, dataset has {n}")
         return np.split(rng.permutation(n), np.cumsum(sizes))[:U]
 
     if np.any(dataset.labels < 0):
         raise ValueError("label_skew needs nonnegative class labels")
-    lpc = plan.labels_per_client
-    size = plan.shard_size if plan.shard_size is not None else (n // U) // lpc * lpc
-    if size < lpc or size % lpc != 0:
+    lpc, size = plan.labels_per_client, sizes[0]
+    if size < lpc:  # the plan's sizes are multiples of lpc, so only 0 is left
         raise ValueError(
             f"label_skew shard size must be a positive multiple of {lpc}, got {size}"
         )

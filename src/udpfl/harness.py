@@ -14,7 +14,7 @@ all derivable from the CSV, plus one ``manifest.json`` per run recording
 the fully resolved config and its content hash.  Output files are written
 atomically and runs are bit-reproducible for a given (config, seed) no
 matter how many worker processes execute the seeds, which share one
-read-only data pool per process (``load_experiment_data`` gives its key).
+read-only data pool per process, which ``data`` partitions and cuts per seed.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ from .data import (
     MNIST_FILES,
     Dataset,
     PartitionPlan,
-    cut_from,
+    _read_only,
+    cut,
     load_csv_dataset,
     load_mnist,
     mnist_dir,
     partition,
+    pool_of,
     synth_linear,
 )
 from .federation import (
@@ -174,9 +176,7 @@ class ExperimentConfig:
         dim = cfg.synth_dim if synthetic else 1
         for build in (
             lambda: ModelSpec(cfg.model_kind, dim, 2, cfg.hidden_dim, cfg.kappa, cfg.hinge),
-            lambda: PartitionPlan(
-                cfg.partition_mode, cfg.shard_size, cfg.labels_per_client, cfg.size_pattern
-            ),
+            lambda: _plan(cfg).sizes(cfg.U),  # the plan's rules, and U's fit to its pattern
             lambda: PrivacyBudget(cfg.epsilon_p, cfg.delta_p),
             # no rule reads the spec or the seed, which the data and the run fix
             lambda: FederationConfig(None, cfg.K, cfg.eta, cfg.clip_C, 0, cfg.weight_mode),
@@ -184,8 +184,8 @@ class ExperimentConfig:
         ):
             try:
                 build()
-            except ConfigError as exc:
-                for message in exc.violations:
+            except ValueError as exc:  # a ConfigError lists its rules under component fields
+                for message in getattr(exc, "violations", [str(exc)]):
                     name, rest = message.split(" ", 1)
                     v.append(f"{_CONFIG_KEYS.get(name, name)} {rest}")
         if cfg.data_source not in ("mnist", "synthetic", "csv"):
@@ -206,8 +206,6 @@ class ExperimentConfig:
             v.append("synthetic data is binary +1/-1; label_skew needs class indices")
         if synthetic and cfg.partition_mode == "iid" and cfg.shard_size is None:
             v.append("synthetic data needs shard_size to size the pool")
-        if cfg.partition_mode == "unbalanced" and cfg.U % max(len(cfg.size_pattern), 1):
-            v.append(f"unbalanced mode needs U divisible by {len(cfg.size_pattern)}")
         if not cfg.U >= 1:
             v.append(f"U must be an int >= 1, got {cfg.U}")
         if cfg.K > cfg.U:
@@ -232,22 +230,17 @@ class ExperimentConfig:
             v.append(f"seeds must be distinct, got {repeated} more than once")
         if not cfg.workers >= 1:
             v.append(f"workers must be an int >= 1, got {cfg.workers}")
-        # round-0 noise calibration must be well-posed before any data loads
-        if not v and math.isfinite(cfg.epsilon_p):
-            size = cfg.shard_size or (
-                min(cfg.size_pattern) if cfg.partition_mode == "unbalanced" else None
-            )
-            if size is not None:
-                try:
-                    s0 = calibrate_sigma(
-                        PrivacyBudget(cfg.epsilon_p, cfg.delta_p),
-                        cfg.K / cfg.U, cfg.T_init, sensitivity(cfg.eta, cfg.clip_C, size),
-                    )
-                except (ValueError, ArithmeticError) as exc:
-                    v.append(f"round-0 calibration failed: {exc}")
-                else:
-                    if not (s0 > 0 and math.isfinite(s0)):
-                        v.append(f"round-0 calibrated sigma not positive/finite: {s0}")
+        # round-0 noise calibration must be well-posed for every class before any data loads
+        sizes = set(_plan(cfg).sizes(cfg.U)) if not v and math.isfinite(cfg.epsilon_p) else {None}
+        if None not in sizes:
+            budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
+            try:
+                s0 = [calibrate_sigma(budget, cfg.K / cfg.U, cfg.T_init,
+                                      sensitivity(cfg.eta, cfg.clip_C, n)) for n in sorted(sizes)]
+                v.extend(f"round-0 calibrated sigma not positive/finite: {s}"
+                         for s in s0 if not (s > 0 and math.isfinite(s)))
+            except (ValueError, ArithmeticError) as exc:
+                v.append(f"round-0 calibration failed: {exc}")
         return v
 
     def check(self) -> "ExperimentConfig":
@@ -287,9 +280,13 @@ def _derived_seed(seed: int, tag: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, tag))
 
 
+def _plan(cfg: ExperimentConfig) -> PartitionPlan:
+    return PartitionPlan(
+        cfg.partition_mode, cfg.shard_size, cfg.labels_per_client, cfg.size_pattern
+    )
+
+
 _pool: dict = {}  # this process's data pool, at most one: {pool key: (train, test)}
-# memo name of a train_eval's flag: its partition holds every row of the pool it gathers
-_COVERS_POOL = "covers_pool"
 
 
 def _file_key(path) -> tuple:
@@ -298,19 +295,10 @@ def _file_key(path) -> tuple:
     return (str(p),) + ((st.st_size, st.st_mtime_ns, st.st_ino) if st else ())
 
 
-def _read_only(ds: Dataset) -> Dataset:
-    ds.features.flags.writeable = False
-    ds.labels.flags.writeable = False
-    return ds
-
-
 def _data_pool(cfg: ExperimentConfig) -> tuple:
     """The seed-independent (train, test) pool, built once per key per process."""
     if cfg.data_source == "synthetic":
-        if cfg.partition_mode == "unbalanced":
-            n_train = sum(cfg.size_pattern) * (cfg.U // len(cfg.size_pattern))
-        else:
-            n_train = cfg.U * cfg.shard_size
+        n_train = sum(_plan(cfg).sizes(cfg.U))
         synth_args = (cfg.synth_dim, cfg.synth_margin, cfg.data_seed)
         key = (n_train, cfg.synth_n_test) + synth_args
     elif cfg.data_source == "mnist":
@@ -333,14 +321,13 @@ def _data_pool(cfg: ExperimentConfig) -> tuple:
 
 
 def load_experiment_data(cfg: ExperimentConfig, seed: int):
-    """Build (shards, train_eval, test_eval) for one seed.
+    """Build (shards, train_eval, test_eval) for one seed: partition the pool, then cut it.
 
     One read-only (train, test) pool is kept per process, keyed by every input
     that shapes it: the synthetic training size, ``synth_n_test``, ``synth_dim``,
     ``synth_margin`` and ``data_seed``, or each file's resolved path, size, inode
     and mtime (as with CPython's .pyc check, a rewrite that keeps all three is
-    not reloaded).  Per seed, ``train_eval`` gathers the shard rows once,
-    read-only, and each shard is a row-range view of it.
+    not reloaded).  Per seed, ``train_eval`` is the cut's gather of the shard rows.
 
     The pool's row norms and the eta guard's L are computed on first use, not
     here, and kept with the pool (``Dataset.sq_norms``, ``Dataset.memo``), so
@@ -349,20 +336,8 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     MNIST and CSV partitions with rows to spare pay for their own.
     """
     train, test = _data_pool(cfg)
-    plan = PartitionPlan(
-        cfg.partition_mode,
-        shard_size=cfg.shard_size,
-        labels_per_client=cfg.labels_per_client,
-        size_pattern=tuple(cfg.size_pattern),
-    )
-    part_seed = _derived_seed(seed, _TAG_PARTITION)
-    shard_idx = partition(train, plan, cfg.U, part_seed)
-    rows = np.concatenate(shard_idx)
-    train_eval = _read_only(train.subset(rows))
-    # the index arrays are disjoint, so as many rows as the pool holds are all of them
-    train_eval.memo(_COVERS_POOL, lambda _: len(rows) == len(train))
-    ends = np.cumsum([len(idx) for idx in shard_idx])
-    shards = [train_eval.subset(slice(e - len(idx), e)) for idx, e in zip(shard_idx, ends)]
+    shard_idx = partition(train, _plan(cfg), cfg.U, _derived_seed(seed, _TAG_PARTITION))
+    train_eval, shards = cut(train, shard_idx)
     return shards, train_eval, test
 
 
@@ -379,15 +354,6 @@ def _gram_top(datasets) -> float:
     return float(np.linalg.eigvalsh(gram / sum(len(d) for d in datasets)).max())
 
 
-def _covered_pool(shards) -> Dataset | None:
-    """The pool whose rows ``shards`` hold, if they are every shard, in order, of one
-    ``load_experiment_data`` partition that covers every pool row; else None."""
-    gather = cut_from(shards)
-    if gather is None or not gather.memo(_COVERS_POOL, lambda _: False):
-        return None
-    return gather.rows_of[0]
-
-
 def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
     # the convergence theory needs eta <= 1/L; only the convex models have a
     # cheaply estimable L (top Gram eigenvalue + ridge), so gate on those.
@@ -395,7 +361,7 @@ def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards
     # so it is computed once per pool and is the same for every seed.
     if spec.kind == "mlp" or spec.input_dim > 2000:
         return
-    pool = _covered_pool(shards)
+    pool = pool_of(shards)
     if pool is None:
         gram_top = _gram_top(shards)
     else:
@@ -557,24 +523,14 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     return manifest
 
 
-SWEEP_AXES = ("T", "epsilon", "beta", "T_init")
+# each sweep axis: the config field it sets and that field's type
+_SWEEP_FIELDS = dict(T=("T_init", int), epsilon=("epsilon_p", float), beta=("beta", float),
+                     T_init=("T_init", int))
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 SWEEP_COLUMNS = (
     "axis", "value", "seed", "final_test_loss", "final_test_accuracy", "rounds",
     "mean_final_test_loss", "mean_final_test_accuracy", "mean_rounds",
 )
-
-
-def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "T":
-        # fixed-T sweep: the round budget is pinned, no adaptive discounting
-        return dataclasses.replace(cfg, scheduler="fixed", T_init=int(value))
-    if axis == "epsilon":
-        return dataclasses.replace(cfg, epsilon_p=float(value))
-    if axis == "beta":
-        return dataclasses.replace(cfg, beta=float(value))
-    if axis == "T_init":
-        return dataclasses.replace(cfg, T_init=int(value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
@@ -585,17 +541,19 @@ def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    name, kind = _SWEEP_FIELDS[axis]
     values = list(values)
-    if axis in ("T", "T_init"):  # round counts: a float would be truncated
-        bad = [x for x in values if not _is_int(x)]
-        if bad:
-            raise ValueError(f"axis {axis} takes integers, got {bad}")
+    bad = [x for x in values if kind is int and not _is_int(x)]  # a float would be truncated
+    if bad:
+        raise ValueError(f"axis {axis} takes integers, got {bad}")
     cfg = cfg.check()
+    if axis == "T":  # fixed-T sweep: the round budget is pinned, no adaptive discounting
+        cfg = dataclasses.replace(cfg, scheduler="fixed")
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     rows, errors = [], {}
     for value in values:
         try:
-            sub = _apply_axis(cfg, axis, value)
+            sub = dataclasses.replace(cfg, **{name: kind(value)})
             manifest = run_experiment(sub, outdir / f"{axis}_{value}")
         except Exception as exc:  # noqa: BLE001 - per-point failures must not abort
             errors[str(value)] = repr(exc)

@@ -298,3 +298,26 @@ def test_plan_validation():
         PartitionPlan("random")
     with pytest.raises(ValueError, match="shard_size"):
         PartitionPlan("iid", shard_size=0)
+    # a label-skew shard holds equal counts of its labels, so its size is their multiple
+    with pytest.raises(ValueError, match=r"shard_size must be a multiple of .* \(2\)"):
+        PartitionPlan("label_skew", shard_size=41, labels_per_client=2)
+    assert PartitionPlan("iid", shard_size=41, labels_per_client=2).shard_size == 41
+
+
+@pytest.mark.parametrize(
+    "plan, U",
+    [
+        (PartitionPlan("iid"), 7),
+        (PartitionPlan("iid", shard_size=9), 7),
+        (PartitionPlan("unbalanced", size_pattern=(4, 6, 8, 10, 12)), 10),
+        (PartitionPlan("label_skew"), 10),  # 30 rows each, cut to 28 = 7 per label
+        (PartitionPlan("label_skew", shard_size=12), 20),
+    ],
+    ids=["iid", "iid-shard_size", "unbalanced", "label_skew", "label_skew-shard_size"],
+)
+def test_plan_sizes_are_the_partitions_shard_lengths(plan, U):
+    ds = make_multiclass(30, 10, seed=4)  # 300 rows
+    assert plan.sizes(U, len(ds)) == [len(idx) for idx in partition(ds, plan, U, seed=2)]
+    # without the pool's row count, exactly the sizes that depend on it are unknown
+    depends_on_n = plan.mode != "unbalanced" and plan.shard_size is None
+    assert plan.sizes(U) == ([None] * U if depends_on_n else plan.sizes(U, len(ds)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udpfl import accountant, cli, federation, harness
+from udpfl import accountant, cli, data, federation, harness
 from udpfl.accountant import MomentLedger, PrivacyBudget
 from udpfl.data import Dataset, PartitionPlan, cut_from, partition, synth_linear
 from udpfl.federation import WEIGHT_MODES
@@ -218,9 +218,22 @@ def test_eta_defaults_per_model_kind():
     assert ExperimentConfig(model_kind="svm", eta=0.2).resolved().eta == 0.2
 
 
-def test_round_zero_calibration_guard():
-    cfg = ExperimentConfig.from_dict(dict(SVM_BASE, epsilon_p=5e-324))
-    assert any("round-0" in v for v in cfg.validate())
+UNBALANCED = dict(partition_mode="unbalanced", size_pattern=(10, 20, 30), U=6)
+
+
+@pytest.mark.parametrize(
+    "over, rejected",
+    [
+        (dict(epsilon_p=5e-324), True),
+        # the unbalanced cut never reads shard_size; it charges each pattern entry's class
+        (dict(UNBALANCED, shard_size=10**400), False),
+        (dict(UNBALANCED, shard_size=None, size_pattern=(10, 10**400, 30)), True),
+    ],
+    ids=["tiny-epsilon", "unbalanced-huge-shard_size", "unbalanced-huge-pattern-entry"],
+)
+def test_round_zero_calibration_guard(over, rejected):
+    violations = ExperimentConfig.from_dict(dict(SVM_BASE, **over)).validate()
+    assert any("round-0" in v for v in violations) if rejected else violations == [], violations
 
 
 def test_decay_scheduler_needs_finite_epsilon(tmp_path):
@@ -885,10 +898,10 @@ def test_hand_built_shards_compute_their_own_gram(tmp_path, fresh_pool, gram_cal
     def slices(whole):
         return [whole.subset(slice(a, a + size)) for a in range(0, n, size)]
 
-    other = harness._read_only(synth_linear(n, cfg.synth_dim, 1.0, cfg.data_seed + 1))
+    other = data._read_only(synth_linear(n, cfg.synth_dim, 1.0, cfg.data_seed + 1))
     variants = {
-        "other_rows": slices(harness._read_only(other.subset(np.arange(n)[::-1]))),
-        "repeated_pool_row": slices(harness._read_only(pool.subset(np.zeros(n, dtype=np.intp)))),
+        "other_rows": slices(data._read_only(other.subset(np.arange(n)[::-1]))),
+        "repeated_pool_row": slices(data._read_only(pool.subset(np.zeros(n, dtype=np.intp)))),
         "rebuilt": [Dataset(s.features.copy(), s.labels.copy(), 2) for s in shards],
         "reordered": shards[::-1],
         "one_short": shards[:-1],
@@ -1037,11 +1050,34 @@ def test_cli_override_precedence(tmp_path, capsys):
     assert len(rows) == 4
     assert rows[0]["T_current"] == "4"
 
+    # every run option lands in its field: flag -> (text, field, value)
+    flags = {
+        "--scheduler": ("decay", "scheduler", "decay"),
+        "--beta": ("0.5", "beta", 0.5),
+        "--zeta": ("0.25", "zeta", 0.25),
+        "--t-init": ("7", "T_init", 7),
+        "--epsilon": ("3.5", "epsilon_p", 3.5),
+        "--seeds": ("4,6", "seeds", (4, 6)),
+        "--workers": ("2", "workers", 2),
+        "--output-dir": ("elsewhere", "output_dir", "elsewhere"),
+    }
+    for command in ("run", "sweep"):
+        parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        options = {a.option_strings[0] for a in parser._actions if a.option_strings}
+        assert options - {"-h", "--config", "--axis", "--values"} == set(flags)
+    argv = ["run", "--config", str(cfg_path)]
+    argv += [x for flag, (text, _, _) in flags.items() for x in (flag, text)]
+    cfg = cli._config_with_overrides(cli.build_parser().parse_args(argv))
+    want = {field: value for _, field, value in flags.values()}
+    assert cfg == dataclasses.replace(svm_cfg(tmp_path), **want)
+    assert all(getattr(svm_cfg(tmp_path), field) != value for field, value in want.items())
+
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["run", "--seeds", "1.5,2.9"], "seeds must be ints >= 0, got [1.5, 2.9]"),
+        (["run", "--seeds", ""], "seeds must be nonempty"),
         (
             ["accountant", "--table", "calibration"],
             "need --sensitivity or all of --eta/--clip/--n-samples",
@@ -1054,7 +1090,8 @@ def test_cli_override_precedence(tmp_path, capsys):
         (["sweep", "--axis", "T", "--values", "150.5"], "axis T takes integers, got [150.5]"),
     ],
     ids=[
-        "run-seeds", "accountant-no-sensitivity", "accountant-T", "accountant-n-samples", "sweep-T",
+        "run-seeds", "run-no-seeds", "accountant-no-sensitivity", "accountant-T",
+        "accountant-n-samples", "sweep-T",
     ],
 )
 def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, message):
@@ -1066,6 +1103,29 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == "" and message in err and err.startswith("udpfl: error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shard_size, rc", [(41, 2), (40, 0)])
+def test_label_skew_shard_size_off_the_label_multiple_is_rejected_before_any_seed(
+    tmp_path, capsys, shard_size, rc
+):
+    path = tmp_path / "train.csv"
+    rows = (f"{i / 400},{i % 7 / 7},{i % 4}" for i in range(400))  # 100 of each of 4 classes
+    path.write_text("\n".join(["x1,x2,label", *rows, ""]))
+    cfg = svm_cfg(
+        tmp_path, model_kind="logistic", data_source="csv", csv_train=str(path),
+        partition_mode="label_skew", labels_per_client=2, shard_size=shard_size, U=6,
+    )
+    message = "shard_size must be a multiple of labels_per_client (2) in label_skew mode, got 41"
+    assert cfg.validate() == ([message] if rc else [])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == rc
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "FAILED" not in err
+    if rc:  # no seed ran
+        assert out == "" and err.startswith("udpfl: error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):
