@@ -7,7 +7,9 @@ environment variable); nothing here downloads data implicitly — see
 
 A dataset with read-only features keeps what is computed from its rows in
 its memo, freed with it; its rows' squared norms are kept there, and a subset
-of it gathers or slices them instead of reading its rows again.
+of it gathers or slices them instead of reading its rows again.  MNIST's
+training pool keeps its features as the parsed image bytes: only the rows
+that a subset gathers are converted to float64, ``x / 255``.
 
 A ``PartitionPlan`` states each shard size (``sizes``) in one of three layouts:
 
@@ -78,6 +80,9 @@ class Dataset:
     them; ``cut_from`` reads it to find the dataset that a list of shards
     slices.  ``memo`` keeps values computed from the rows with the dataset, so
     they live as long as it does.
+
+    uint8 ``features`` are image bytes: every row read from them
+    (``float_rows``, ``subset``, ``sq_norms``) is float64, ``x / 255``.
     """
 
     features: np.ndarray
@@ -105,9 +110,15 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    def float_rows(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The features of ``rows``; image bytes converted to float64, ``x / 255``
+        (bitwise ``x.astype(np.float64) / 255.0``, in one float64 array)."""
+        x = self.features[rows]
+        return np.divide(x, 255.0, dtype=np.float64) if x.dtype == np.uint8 else x
+
     def subset(self, indices: np.ndarray | slice) -> "Dataset":
         return Dataset(
-            self.features[indices],
+            self.float_rows(indices),
             self.labels[indices],
             self.num_classes,
             rows_of=None if self.features.flags.writeable else (self, indices),
@@ -186,7 +197,7 @@ def _sq_norms(ds: Dataset) -> np.ndarray:
     else:
         norms = np.empty(len(ds))
         for r in _row_blocks(len(ds), ds.feature_dim):
-            x = np.asarray(ds.features[r], dtype=float)
+            x = np.asarray(ds.float_rows(r), dtype=float)
             np.sum(x * x, axis=1, out=norms[r])
     norms.flags.writeable = False
     return norms
@@ -239,13 +250,14 @@ class PartitionPlan:
         return [size] * U
 
 
-def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:
+def _read_exact(buf: bytes, offset: int, count: int, what: str) -> np.ndarray:
+    """The ``count`` bytes at ``offset``, as a read-only uint8 view of ``buf``."""
     if offset + count > len(buf):
         raise IdxParseError(
             f"truncated IDX file: needed {count} bytes for {what} at byte "
             f"{offset}, file has {len(buf)}"
         )
-    return buf[offset : offset + count]
+    return np.frombuffer(buf, np.uint8, count, offset)
 
 
 def _parse_idx(raw: bytes, expect_magic: int, path: str) -> np.ndarray:
@@ -261,12 +273,12 @@ def _parse_idx(raw: bytes, expect_magic: int, path: str) -> np.ndarray:
     )
     start = 4 + 4 * ndim
     count = int(np.prod(dims))
-    data = _read_exact(raw, start, count, "payload")
-    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
+    return _read_exact(raw, start, count, "payload").reshape(dims)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a flattened unit-scaled dataset."""
+def load_idx(images_path, labels_path, as_bytes: bool = False) -> Dataset:
+    """Parse an IDX image/label file pair into a flattened unit-scaled dataset;
+    with ``as_bytes``, its features are the file's image bytes (see ``Dataset``)."""
     images = _parse_idx(Path(images_path).read_bytes(), IDX_MAGIC_IMAGES, str(images_path))
     labels = _parse_idx(Path(labels_path).read_bytes(), IDX_MAGIC_LABELS, str(labels_path))
     if len(images) != len(labels):
@@ -274,9 +286,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image/label count mismatch: {len(images)} images vs "
             f"{len(labels)} labels"
         )
-    feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
     y = labels.astype(np.int64)
-    return Dataset(feats, y, num_classes=int(y.max()) + 1)
+    pool = Dataset(images.reshape(len(images), -1), y, num_classes=int(y.max()) + 1)
+    return pool if as_bytes else Dataset(pool.float_rows(), y, pool.num_classes)
 
 
 def mnist_dir(explicit: str | None = None) -> Path:
@@ -290,7 +302,10 @@ def mnist_dir(explicit: str | None = None) -> Path:
 
 
 def load_mnist(directory: str | None = None) -> tuple[Dataset, Dataset]:
-    """Load the train and test splits from raw IDX files on disk."""
+    """Load the train and test splits from raw IDX files on disk.
+
+    The training split keeps its image bytes, of which each seed gathers a few
+    rows; the test split, which every round evaluates, is float64."""
     d = mnist_dir(directory)
     missing = [name for name in MNIST_FILES if not (d / name).exists()]
     if missing:
@@ -298,7 +313,7 @@ def load_mnist(directory: str | None = None) -> tuple[Dataset, Dataset]:
             f"MNIST files missing under {d}: {', '.join(missing)}. "
             "Point MNIST_DIR at the IDX files or run the fetch-mnist command."
         )
-    train = load_idx(d / MNIST_FILES[0], d / MNIST_FILES[1])
+    train = load_idx(d / MNIST_FILES[0], d / MNIST_FILES[1], as_bytes=True)
     test = load_idx(d / MNIST_FILES[2], d / MNIST_FILES[3])
     return train, test
 
@@ -399,6 +414,9 @@ def partition(dataset: Dataset, plan: PartitionPlan, U: int, seed: int) -> list[
     sizes = plan.sizes(U, n)
 
     if plan.mode in ("iid", "unbalanced"):  # one permutation, cut at the shard sizes
+        if min(sizes) < 1:
+            raise ValueError(f"{plan.mode} plan needs >= 1 sample for each of U={U} clients, "
+                             f"dataset has {n}")
         if sum(sizes) > n:
             raise ValueError(f"{plan.mode} plan needs {sum(sizes)} samples, dataset has {n}")
         return np.split(rng.permutation(n), np.cumsum(sizes))[:U]
@@ -412,21 +430,20 @@ def partition(dataset: Dataset, plan: PartitionPlan, U: int, seed: int) -> list[
         )
     per_class = size // lpc
     subsets = _skew_subsets(dataset.num_classes, lpc, U, rng)
-    pools = {
-        c: list(rng.permutation(np.flatnonzero(dataset.labels == c)))
-        for c in range(dataset.num_classes)
-    }
+    pools = [rng.permutation(np.flatnonzero(dataset.labels == c))
+             for c in range(dataset.num_classes)]
+    taken = [0] * dataset.num_classes  # each class pool's cursor
     shards = []
     for subset in subsets:
         take = []
         for c in subset:
-            if len(pools[c]) < per_class:
+            have = len(pools[c]) - taken[c]
+            if have < per_class:
                 raise ValueError(
-                    f"class {c} exhausted: need {per_class} more samples, "
-                    f"have {len(pools[c])}"
+                    f"class {c} exhausted: need {per_class} more samples, have {have}"
                 )
-            take.extend(pools[c][:per_class])
-            del pools[c][:per_class]
-        shards.append(np.array(take, dtype=np.intp))
+            take.append(pools[c][taken[c] : taken[c] + per_class])
+            taken[c] += per_class
+        shards.append(np.concatenate(take))
     return shards
 

@@ -328,6 +328,8 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     ``synth_margin`` and ``data_seed``, or each file's resolved path, size, inode
     and mtime (as with CPython's .pyc check, a rewrite that keeps all three is
     not reloaded).  Per seed, ``train_eval`` is the cut's gather of the shard rows.
+    An MNIST training pool holds the image bytes, and the gather converts only
+    its own rows, so every dataset returned here has float64 features.
 
     The pool's row norms and the eta guard's L are computed on first use, not
     here, and kept with the pool (``Dataset.sq_norms``, ``Dataset.memo``), so
@@ -350,7 +352,7 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
 
 def _gram_top(datasets) -> float:
     """Top eigenvalue of the datasets' summed row Gram matrix over their row count."""
-    gram = sum(d.features.T @ d.features for d in datasets)
+    gram = sum(x.T @ x for x in (d.float_rows() for d in datasets))
     return float(np.linalg.eigvalsh(gram / sum(len(d) for d in datasets)).max())
 
 

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,19 @@ requires_mnist = pytest.mark.skipif(
     not mnist_present(),
     reason="MNIST IDX files not found (set MNIST_DIR or run the fetch-mnist command)",
 )
+
+
+@pytest.fixture
+def mnist_like(tmp_path):
+    """A directory of MNIST-format IDX files, 300 training and 50 test images,
+    written by the benchmark's generator (``perfbench/workloads.py``, loaded read-only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    workloads.write_mnist_like(tmp_path / "mnist", 1, n_train=300, n_test=50)
+    return tmp_path / "mnist"
 
 
 def assert_within_inverse_variance_budget(hist, budget, q, dl):

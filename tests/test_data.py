@@ -7,9 +7,13 @@ import pytest
 
 from conftest import requires_mnist
 from udpfl.data import (
+    MNIST_FILES,
     Dataset,
     IdxParseError,
     PartitionPlan,
+    _read_only,
+    _skew_subsets,
+    cut,
     load_csv_dataset,
     load_idx,
     load_mnist,
@@ -70,8 +74,37 @@ def test_mnist_shapes_and_ranges():
     train, test = load_mnist()
     assert len(train) == 60000 and len(test) == 10000
     assert train.feature_dim == 784 and train.num_classes == 10
-    assert train.features.min() >= 0.0 and train.features.max() <= 1.0
+    assert train.features.dtype == np.uint8  # the stored bytes, 0..255
+    gathered = train.subset(np.arange(len(train))).features
+    assert gathered.dtype == np.float64 and gathered.min() >= 0.0 and gathered.max() <= 1.0
+    assert test.features.dtype == np.float64
+    assert test.features.min() >= 0.0 and test.features.max() <= 1.0
     assert np.array_equal(np.unique(train.labels), np.arange(10))
+
+
+def test_byte_pool_gathers_the_float_pools_rows_and_norms(mnist_like):
+    every_byte = np.arange(256, dtype=np.uint8)
+    as_read = Dataset(every_byte[None, :], np.zeros(1, dtype=np.int64), 2).float_rows()
+    assert as_read.tobytes() == (every_byte.astype(np.float64) / 255.0).tobytes()
+    images, labels = (mnist_like / name for name in MNIST_FILES[:2])
+    pool = _read_only(load_idx(images, labels, as_bytes=True))
+    assert pool.features.dtype == np.uint8 and pool.features.shape == (300, 784)
+    # the float64 pool as it was parsed before the training pool kept its bytes
+    pixels = np.frombuffer(images.read_bytes(), np.uint8, offset=16).reshape(300, 784)
+    floats = _read_only(Dataset(pixels.astype(np.float64) / 255.0, pool.labels, 10))
+    rows = np.random.default_rng(0).permutation(len(pool))[:120]
+    gather, shards = cut(pool, [rows[:50], rows[50:]])
+    assert gather.features.dtype == np.float64
+    assert gather.features.tobytes() == floats.features[rows].tobytes()
+    assert shards[1].features.tobytes() == floats.features[rows[50:]].tobytes()
+    x = floats.features[rows]
+    assert gather.sq_norms.tobytes() == (x * x).sum(1).tobytes()
+    assert pool.sq_norms.tobytes() == floats.sq_norms.tobytes()
+    # the training split stays bytes; the test split, which every round reads, is float64
+    train, test = load_mnist(str(mnist_like))
+    assert train.features.tobytes() == pool.features.tobytes()
+    test_files = (mnist_like / name for name in MNIST_FILES[2:])
+    assert test.features.tobytes() == load_idx(*test_files).features.tobytes()
 
 
 def test_csv_loader(tmp_path):
@@ -246,6 +279,9 @@ def test_partition_iid_explicit_size_and_infeasible():
     assert_disjoint(shards)
     with pytest.raises(ValueError, match="needs"):
         partition(ds, PartitionPlan("iid", shard_size=30), U=5, seed=1)
+    # fewer rows than clients: no client may get an empty shard
+    with pytest.raises(ValueError, match=r"iid plan needs >= 1 sample for each of U=101"):
+        partition(ds, PartitionPlan("iid"), U=101, seed=1)
 
 
 def test_partition_unbalanced_ratio():
@@ -281,6 +317,54 @@ def test_partition_label_skew_infeasible_class_pool():
     plan = PartitionPlan("label_skew", shard_size=40)
     with pytest.raises(ValueError, match="exhausted"):
         partition(ds, plan, U=50, seed=3)
+
+
+def label_skew_lists(dataset, plan, U, seed):
+    """The label-skew cut as Python lists of each class's permutation: the reference."""
+    rng = np.random.default_rng(seed)
+    per_class = plan.sizes(U, len(dataset))[0] // plan.labels_per_client
+    subsets = _skew_subsets(dataset.num_classes, plan.labels_per_client, U, rng)
+    pools = {
+        c: list(rng.permutation(np.flatnonzero(dataset.labels == c)))
+        for c in range(dataset.num_classes)
+    }
+    shards = []
+    for subset in subsets:
+        take = []
+        for c in subset:
+            if len(pools[c]) < per_class:
+                raise ValueError(
+                    f"class {c} exhausted: need {per_class} more samples, have {len(pools[c])}"
+                )
+            take.extend(pools[c][:per_class])
+            del pools[c][:per_class]
+        shards.append(np.array(take, dtype=np.intp))
+    return shards
+
+
+@pytest.mark.parametrize(
+    "per_class, classes, plan, U",
+    [
+        (200, 10, PartitionPlan("label_skew", shard_size=40), 50),
+        (37, 10, PartitionPlan("label_skew"), 9),
+        (30, 5, PartitionPlan("label_skew", shard_size=6, labels_per_client=3), 10),
+        (5, 10, PartitionPlan("label_skew", shard_size=40), 50),  # a class runs out
+    ],
+    ids=["packed", "spare", "shuffled-subsets", "exhausted"],
+)
+def test_label_skew_partition_matches_the_list_reference(per_class, classes, plan, U):
+    ds = make_multiclass(per_class, classes, seed=9)
+    for seed in (3, 4):
+        try:
+            want = label_skew_lists(ds, plan, U, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                partition(ds, plan, U, seed)
+            continue
+        got = partition(ds, plan, U, seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_partition_is_pure_function_of_seed():

@@ -827,6 +827,34 @@ def test_shards_are_views_equal_to_per_shard_gathers(tmp_path, fresh_pool, over)
     assert test_eval.features.tobytes() == full.features[n_train:].tobytes()
 
 
+def logistic_mnist_cfg(tmp_path, directory, **over):
+    """Logistic regression on MNIST-format files, an iid cut that covers the pool."""
+    return svm_cfg(
+        tmp_path, model_kind="logistic", data_source="mnist", mnist_dir=str(directory),
+        shard_size=None, **over,
+    ).check()
+
+
+def test_mnist_pool_keeps_its_training_images_as_bytes(tmp_path, fresh_pool, mnist_like):
+    cfg = logistic_mnist_cfg(tmp_path, mnist_like)
+    shards, train_eval, test_eval = load_experiment_data(cfg, 1)
+    pool, test = harness._data_pool(cfg)
+    assert pool.features.dtype == np.uint8 and pool.features.shape == (300, 784)
+    assert test is test_eval and test.features.dtype == np.float64
+    assert {ds.features.dtype for ds in (train_eval, *shards)} == {np.dtype(np.float64)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fewer_rows_than_clients_fail_in_the_partition(tmp_path, fresh_pool):
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, 3)
+    cfg = svm_cfg(tmp_path, data_source="csv", csv_train=str(path), shard_size=None, U=5, K=2)
+    assert cfg.validate() == []  # the pool's row count is not known before it loads
+    manifest = run_experiment(cfg)
+    message = "iid plan needs >= 1 sample for each of U=5 clients, dataset has 3"
+    assert manifest.errors == {seed: f"ValueError({message!r})" for seed in ("1", "2")}
+
+
 def test_missing_data_file_is_not_cached(tmp_path, fresh_pool):
     mnist = svm_cfg(tmp_path, data_source="mnist", mnist_dir=str(tmp_path / "none")).resolved()
     with pytest.raises(FileNotFoundError, match="MNIST files missing"):
@@ -913,6 +941,25 @@ def test_hand_built_shards_compute_their_own_gram(tmp_path, fresh_pool, gram_cal
         assert gram_calls[before:] == [sum(map(len, hand))], name
     guard_message(cfg, shards, spec)
     assert gram_calls[len(variants):] == [n]  # the pool's, for the partition itself
+
+
+def test_eta_guard_reads_a_byte_pools_rows_as_floats(tmp_path, fresh_pool, mnist_like):
+    # the reference: the float64 pool's L; a Gram of the uint8 features would wrap around
+    x = data.load_idx(*(mnist_like / name for name in data.MNIST_FILES[:2])).features
+    gram_top = float(np.linalg.eigvalsh(x.T @ x / len(x)).max())
+    L = 0.5 * (gram_top + 1.0)
+    for eta, verdict in ((0.999 / L, None), (1.001 / L, f"exceeds 1/L={1.0 / L:.6g}")):
+        cfg = logistic_mnist_cfg(tmp_path, mnist_like, eta=eta)
+        shards, train_eval, _ = load_experiment_data(cfg, 1)
+        pool, _ = harness._data_pool(cfg)
+        assert data.pool_of(shards) is pool  # so the guard reads the pool's L
+        spec = build_model_spec(cfg, train_eval)
+        if verdict is None:
+            build_simulation(cfg, 1, shards, spec)
+        else:
+            message = guard_message(cfg, shards, spec)
+            assert message == f"eta={eta} {verdict} estimated from the data"
+    assert pool.memo("gram_top", None) == gram_top
 
 
 @pytest.mark.parametrize(
