@@ -19,16 +19,25 @@ uploads in client-id order.
 Each process has one helper thread, made on first use, and none where the
 process may use one CPU only.  In a round it draws the noisy clients' standard
 normals, from generators the main thread builds, beside the backward pass and
-the local steps; then it evaluates the new model on the test set beside the
-forward over the clients' rows.  A job reading under ``_HELPER_MIN_BYTES`` runs
-inline instead, since waking the helper would cost as much.  A helper job is a
-pure function of its arguments and writes only memory the main thread reads
-after joining it, so no output depends on where or when it ran; a round that
-fails joins its jobs before it raises.  Every fork of the process first stops
-the helper (``os.register_at_fork``), so no fork copies a live thread (Python
-3.12 warns of that, and a child would wait forever on the parent's thread);
-parent and child each make a new one on their next round.  Checked on Python
-3.11 with the fork start method.
+the local steps.  Then both threads forward the new model: the helper evaluates
+it on the test set, then takes blocks of clients from the front of the stacked
+rows while the main thread takes them from the back (a run's first fill is the
+same batch without the test pass).  A batch reading under ``_HELPER_MIN_BYTES``
+in all runs inline instead, since waking the helper would cost as much.  A
+block is consecutive clients of one shard size, forwarded by one batched
+``matmul`` over their ``(clients, rows, ...)`` views: numpy makes each client's
+own BLAS call inside it, so each row's bits are those of ``local_update``'s
+call, whichever thread ran it.  One GEMV over several clients' rows would
+change them where a shard is 1 row or not a multiple of 4 rows (OpenBLAS
+0.3.31), and a GEMV of up to 500 rows holds the GIL, so a call per client could
+not run on both threads at once (numpy 2.4).  Every job writes only its own
+memory, which the main thread reads after joining the helper, so no output
+depends on where or when it ran; a round that fails joins the helper before it
+raises.  Every fork of the process first stops the helper
+(``os.register_at_fork``), so no fork copies a live thread (Python 3.12 warns
+of that, and a child would wait forever on the parent's thread); parent and
+child each make a new one on their next round.  Checked on Python 3.11 with the
+fork start method.
 
 Randomness is drawn from per-purpose generators keyed by
 (seed, tag, round) for selection and (seed, tag, client, round) for noise,
@@ -42,11 +51,14 @@ such runs bit-identical to plain federated gradient descent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +73,7 @@ _TAG_SELECT = 1
 _TAG_NOISE = 2
 WEIGHT_MODES = ("by_size", "equal")
 _helpers: list = []  # once made: [this process's one-thread executor, or None on one CPU]
-# a smaller helper job runs inline: waking the helper can cost ~0.1 ms, as much as the job
+# a smaller helper batch runs inline: waking the helper can cost ~0.1 ms, as much as the work
 _HELPER_MIN_BYTES = 1 << 22
 
 
@@ -218,19 +230,44 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
 
 
 @contextmanager
-def _on_helper(nbytes: int, fn, *args):
-    """Run ``fn(*args)``, a job reading ``nbytes`` of arrays, beside the block: on the
-    helper if it exists and the job is worth a thread handoff, else first, on this
-    thread.  Yields its future, joined before the block's exit goes on, raised or not."""
+def _on_helper(nbytes: int, job=None, blocks=()):
+    """Run ``job()``, then the zero-argument ``blocks``, work reading ``nbytes`` of
+    arrays in all, beside the ``with`` body.  On the helper, if it exists and the work
+    is worth a thread handoff, ``job`` runs first and then blocks are taken from the
+    front, while the yielded function takes them from the back on this thread; else
+    all of it runs first, on this thread, in order.  The yielded function returns
+    ``job``'s value once every block is done.  The helper is joined, and takes no more
+    blocks, before the body's exit goes on, raised or not."""
+    queue = deque(blocks)
+
+    def drain(take) -> None:
+        while True:
+            try:
+                block = take()
+            except IndexError:  # none left
+                return
+            block()
+
+    def run():
+        value = job() if job is not None else None
+        drain(queue.popleft)
+        return value
+
     pool = _helper() if nbytes >= _HELPER_MIN_BYTES else None
     if pool is None:
         future = Future()
-        future.set_result(fn(*args))
+        future.set_result(run())
     else:
-        future = pool.submit(fn, *args)
+        future = pool.submit(run)
+
+    def done():
+        drain(queue.pop)
+        return future.result()
+
     try:
-        yield future
+        yield done
     finally:
+        queue.clear()
         wait((future,))
 
 
@@ -248,17 +285,35 @@ class _Stacked:
         if [c.id for c in clients] != list(range(len(clients) or 1)):
             raise ValueError("client ids must be their positions 0..U-1, with U >= 1")
         self.spec, self.shards, self.params = spec, [c.shard for c in clients], None
-        self.X, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
-        ends = np.cumsum([len(x) for x in self.X])
-        self.rows = [slice(e - len(x), e) for x, e in zip(self.X, ends)]
+        Xs, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
+        sizes = [len(x) for x in Xs]
+        ends = np.cumsum(sizes)
+        self.rows = [slice(e - n, e) for n, e in zip(sizes, ends)]
         whole = cut_from(self.shards)
         if whole is None:
-            X, self.y = np.concatenate(self.X), np.concatenate(ys)
+            X, self.y = np.concatenate(Xs), np.concatenate(ys)
             self.sq_norms = np.concatenate([s.sq_norms for s in self.shards])
         else:  # the gather holds the shards' rows in order; its float rows serve as they are
             X, self.y = np.ascontiguousarray(whole.features, dtype=float), whole.labels
             self.sq_norms = whole.sq_norms
-        self.fwd = _forward_buffers(spec, X)
+        self.fwd = inputs, pre, scores = _forward_buffers(spec, X)
+        # a fill block: consecutive clients of one shard size as (clients, rows, ...) views,
+        # which one batched matmul forwards with each client's own BLAS call (see the
+        # module docstring); each run of them is cut into the fewest parts that read at
+        # most _HELPER_MIN_BYTES each
+        self.blocks, start = [], 0
+        for n, run in itertools.groupby(sizes):
+            k = len(list(run))
+            parts = min(k, -(-k * n * X[0].nbytes // max(_HELPER_MIN_BYTES, 1)))
+            for m in map(len, np.array_split(range(k), parts)):
+                r, start = slice(start, start + m * n), start + m * n
+
+                def view(B, r=r, m=m, n=n):
+                    return B[r].reshape(m, n, *B.shape[1:])
+
+                self.blocks.append(
+                    (view(X), ([*map(view, inputs)], [*map(view, pre)], view(scores)))
+                )
         self.noise = np.empty((0, len(params)))
 
     def noise_rows(self, k: int) -> np.ndarray:
@@ -267,12 +322,16 @@ class _Stacked:
             self.noise = np.empty((k, self.noise.shape[1]))
         return self.noise[:k]
 
-    def fill(self, params: np.ndarray) -> None:
-        """Forward every client's rows at ``params``, each into its row range."""
-        self.params, (inputs, pre, scores) = None, self.fwd
-        for x, r in zip(self.X, self.rows):
-            _forward(self.spec, params, x, ([A[r] for A in inputs], [Z[r] for Z in pre], scores[r]))
+    def fill(self, params: np.ndarray, job=None, nbytes: int = 0):
+        """Forward every client's rows at ``params`` into its row range, in blocks shared
+        with the helper beside ``job`` (reading ``nbytes``); returns ``job``'s value.
+        Unfilled (``self.params`` None) unless every block is done."""
+        self.params = None
+        blocks = [partial(_forward, self.spec, params, x, out) for x, out in self.blocks]
+        with _on_helper(nbytes + self.fwd[0][0].nbytes, job, blocks) as done:
+            value = done()
         self.params = params.copy()
+        return value
 
 
 def run_round(
@@ -297,9 +356,10 @@ def run_round(
     selected clients' z while this thread runs the backward pass and the
     clipped steps; once the draws are done, each step takes ``sigma * z`` in
     place and ``aggregate`` folds the steps; the helper evaluates ``test_eval``
-    while this thread forwards the clients' rows.  Every helper job is joined before the
-    round goes on or raises (the module docstring says why the thread
-    schedule cannot show in the outputs).
+    and then forwards blocks of clients' rows from the front while this thread
+    forwards them from the back.  The helper is joined before the round goes on or
+    raises (the module docstring says why the thread schedule cannot show in the
+    outputs).
     """
     if server.t >= server.T:
         raise ValueError(f"round budget exhausted: t={server.t}, T={server.T}")
@@ -332,23 +392,22 @@ def run_round(
     z = dict(zip(noisy, rows))
     # the generators are built on this thread: that work holds the GIL, the fill does not
     rngs = [_noise_rng(cfg.seed, i, rnd) for i in noisy]
-    with _on_helper(rows.nbytes, _draw_noise, rngs, rows) as drawn:
+    with _on_helper(rows.nbytes, partial(_draw_noise, rngs, rows)) as drawn:
         norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
         factors = _clip_factors(norms2, cfg.clip)
         # one full-batch clipped step per client from the global parameters (models.local_update)
         steps = [params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
                  for i in selected]
-        drawn.result()
+        drawn()
     for i, upload in zip(selected, steps):  # rounded as add_noise
         if i in z:
             upload += np.multiply(z[i], sigmas[i], out=z[i])
     new_params = aggregate(list(zip(weights, steps)))
 
     X_test, y_test = test_eval.features, test_eval.labels
-    with _on_helper(X_test.nbytes, loss_and_accuracy, spec, new_params, X_test, y_test) as tested:
-        st.fill(new_params)
-        train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)
-        test_loss, test_acc = tested.result()
+    test = partial(loss_and_accuracy, spec, new_params, X_test, y_test)
+    test_loss, test_acc = st.fill(new_params, test, X_test.nbytes)
+    train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)
     if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
         raise RuntimeError(f"non-finite evaluation loss at round {rnd}")
 

@@ -46,7 +46,7 @@ def test_reference_outputs_prints_the_same_hashes_twice(tmp_path):
     first = run_python([tool, outdir], tmp_path)
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
-    assert len(lines) == 33  # rounds.csv and summary.json of 16 seed runs, pilot_norms.csv
+    assert len(lines) == 35  # rounds.csv and summary.json of 17 seed runs, pilot_norms.csv
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines)
     listing = tmp_path / "listing.txt"
     listing.write_text(first.stdout)

@@ -5,6 +5,7 @@ gradient descent loop written here from scratch (pooled data, no
 federation machinery).
 """
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -39,6 +40,7 @@ from udpfl.federation import (
     sample_clients,
 )
 from udpfl.models import (
+    HINGE_FORMS,
     ModelSpec,
     clipped_gradient_sum,
     init_params,
@@ -260,12 +262,13 @@ def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch, helper_
     events, forward, draw = [], models._forward, federation._draw_noise
 
     def counting(spec, params, X, out=None):
-        events.append(len(X))
+        rows = X.size // X.shape[-1]  # a fill block is (clients, rows, features)
+        events.append((rows, threading.current_thread() is threading.main_thread()))
         return forward(spec, params, X, out)
 
     def noting(rngs, block):
         assert len(rngs) == len(block)
-        events.extend(["noise"] * len(rngs))
+        events.extend([("noise", None)] * len(rngs))
         return draw(rngs, block)
 
     monkeypatch.setattr(models, "_forward", counting)
@@ -274,11 +277,20 @@ def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch, helper_
     run_round(server, clients, cfg, test)
     # the local steps start from the previous round's train-loss forward, so the
     # K noise draws beside them meet no forward; then the new parameters are
-    # forwarded once over every client's rows, in client order, while the test
-    # set is forwarded once on the helper thread, so those two interleave
-    assert events[:3] == ["noise"] * 3
-    assert sorted(events[3:]) == sorted(sizes + [len(test)])
-    assert [e for e in events[3:] if e != len(test)] == sizes
+    # forwarded once over the test set and once over every client's rows
+    assert [e for e, _ in events[:3]] == ["noise"] * 3
+    assert sorted(e for e, _ in events[3:]) == sorted(sizes + [len(test)])
+    # the helper runs the test pass and then takes clients from the front, in
+    # order, while this thread takes them from the back; with no helper, this
+    # thread runs it all in that order
+    here = [e for e, on_main in events[3:] if on_main]
+    helper = [e for e, on_main in events[3:] if not on_main]
+    if federation._helper() is None:
+        assert not helper and here == [len(test), *sizes]
+    else:
+        assert helper[0] == len(test)
+        front = helper[1:]
+        assert front == sizes[: len(front)] and here == sizes[len(front):][::-1]
 
 
 def test_sigma_constant_while_T_fixed_and_matches_closed_form():
@@ -550,6 +562,45 @@ def test_mnist_shape_stacked_rounds_equal_per_client_bitwise(epsilon, min_bytes,
     assert {i for r in server.records for i in r.selected} == set(range(len(sizes)))
 
 
+FILL_SPECS = [ModelSpec("svm", input_dim=d, kappa=0.01, hinge=h) for h in HINGE_FORMS
+              for d in (1, 10, 100, 300)]
+FILL_SPECS += [*SPECS[2:], ModelSpec("mlp", input_dim=784, num_classes=10, hidden_dim=32)]
+
+
+@pytest.mark.parametrize("rows_per_part", [0, 7, None], ids=["clients", "parts", "runs"])
+@pytest.mark.parametrize(
+    "spec", FILL_SPECS,
+    ids=lambda s: f"{s.kind}-d{s.input_dim}-h{s.hidden_dim}-c{s.num_classes}-{s.hinge}",
+)
+def test_fill_blocks_equal_per_client_forward_bitwise(spec, rows_per_part, monkeypatch):
+    """Runs of equal shards, forwarded as one batched matmul each, as parts of a run, or
+    a client at a time, with 1-row shards (numpy sends those through dot, not gemv) and
+    tails off the kernels' 4-row unroll: one GEMV over the stacked rows changes some
+    rows' bits at these sizes, the batched matmul must not."""
+    row_bytes = spec.input_dim * 8
+    min_bytes = 1 << 62 if rows_per_part is None else rows_per_part * row_bytes
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    sizes = (1, 1, 1, 7, 3, 3, 3, 3, 3, 12, 5, 5, 1, 9, 9, 9, 2)
+    clients, cfg, server, test = spec_federation(spec, sizes, K=6, epsilon=4.0, seed=2)
+    st = federation._Stacked(spec, server.global_params, clients)
+    clients_per_block = [len(x) for x, _ in st.blocks]
+    assert sum(clients_per_block) == len(sizes)
+    assert max(clients_per_block) == {0: 1, 7: 3, None: 5}[rows_per_part]
+    for params in server.global_params, -2.0 * server.global_params:
+        st.fill(params)
+        want = [models._forward(spec, params, c.shard.features) for c in clients]
+        for got, parts in zip([*st.fwd[0][1:], *st.fwd[1], st.fwd[2]], zip(*(
+            [*w[0][1:], *w[1], w[2]] for w in want
+        ))):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+        assert np.array_equal(st.params, params)
+    want = server.global_params.copy()
+    for rnd in range(3):
+        rec = run_round(server, clients, cfg, test)
+        want = noisy_reference_round(spec, want, clients, cfg, rnd, rec.sigma_by_client)
+        assert np.array_equal(server.global_params, want)
+
+
 def test_noiseless_client_beside_noisy_ones_uploads_its_local_step_exactly(monkeypatch):
     spec = SPECS[0]
     clients, cfg, server, test = spec_federation(spec, K=5, epsilon=4.0)
@@ -617,6 +668,26 @@ def test_sigma_override_not_keyed_by_the_noisy_ledgers_rejected_before_any_draw_
     assert all(c.sigma_history == [] for c in clients)
 
 
+def test_helper_batch_runs_every_block_once_under_fast_thread_switches():
+    # the two threads pop blocks from the two ends of one queue: a block lost or run
+    # twice would show in its count
+    counts = np.zeros(2000, dtype=int)
+
+    def block(i):
+        counts[i] += 1
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            blocks = [functools.partial(block, i) for i in range(len(counts))]
+            with federation._on_helper(federation._HELPER_MIN_BYTES, lambda: "job", blocks) as done:
+                assert done() == "job"
+    finally:
+        sys.setswitchinterval(switch)
+    assert (counts == 5).all()
+
+
 def _helper_runs_a_job_here():
     helper = federation._helper()
     sys.exit(helper.submit(os.getpid).result(timeout=30) != os.getpid())
@@ -639,7 +710,7 @@ def _state(server, clients):
     return server.t, server.global_params.copy(), [list(c.sigma_history) for c in clients]
 
 
-@pytest.mark.parametrize("phase", ["clip_factors", "test_loss"])
+@pytest.mark.parametrize("phase", ["clip_factors", "test_loss", "fill_block"])
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
     spec, phase, monkeypatch, helper_always
@@ -647,7 +718,7 @@ def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
     clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
     run_round(server, clients, cfg, test)
     before = _state(server, clients)
-    started, finished = threading.Event(), []
+    started, finished, begun = threading.Event(), [], []
     if phase == "clip_factors":  # the backward side fails while the noise is drawn
         draw = federation._draw_noise
 
@@ -665,6 +736,21 @@ def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
         monkeypatch.setattr(federation, "_draw_noise", slow_draw)
         monkeypatch.setattr(federation, "_clip_factors", failing_clip)
         expected, error = cfg.K, FloatingPointError
+    elif phase == "fill_block":  # the last client's block fails while another is forwarded
+        forward, last = federation._forward, server._stacked.fwd[2][-1:]
+
+        def forward_or_fail(spec, params, X, out):
+            if np.shares_memory(out[2], last):  # taken first by this thread, last inline
+                assert started.wait(10)
+                raise FloatingPointError("fill block")
+            begun.append(len(X))
+            started.set()
+            time.sleep(0.05)
+            forward(spec, params, X, out)
+            finished.append(len(X))
+
+        monkeypatch.setattr(federation, "_forward", forward_or_fail)
+        expected, error = None, FloatingPointError
     else:  # the test pass returns a non-finite loss while the train rows are forwarded
         evaluate_test = federation.loss_and_accuracy
 
@@ -680,7 +766,13 @@ def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
     with pytest.raises(error):
         run_round(server, clients, cfg, test)
     # the helper's work was joined before the round raised, and nothing moved
-    assert started.is_set() and len(finished) == expected
+    if expected is None:  # every block that began finished; the stacked rows are unfilled
+        assert begun and finished == begun and server._stacked.params is None
+        # the helper took no block after this thread's failed, which came 50 ms before
+        # the helper's first block ended; inline, the blocks ran in order up to it
+        assert len(begun) == (1 if federation._helper() else len(server._stacked.blocks) - 1)
+    else:
+        assert started.is_set() and len(finished) == expected
     after = _state(server, clients)
     assert after[0] == before[0] and np.array_equal(after[1], before[1]) and after[2] == before[2]
     assert server.records and len(server.records) == 1

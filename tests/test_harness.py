@@ -434,6 +434,33 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
     assert texts["a"] == texts["c"]
 
 
+def test_rounds_above_the_helper_limit_match_rounds_without_a_helper(tmp_path, monkeypatch):
+    # 6,000 stacked rows of 100 floats (4.8 MB): the fills are worth the helper at the
+    # product's own limit, so where the process may use two CPUs both threads forward rows
+    assert 6000 * 100 * 8 >= federation._HELPER_MIN_BYTES
+    cfg = dict(
+        SVM_BASE, synth_dim=100, partition_mode="unbalanced", shard_size=None,
+        size_pattern=(400, 500, 600, 700, 800), U=10, K=4, T_init=3, seeds=(1,),
+    )
+    threads, forward = set(), federation._forward
+
+    def noting(*args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return forward(*args)
+
+    monkeypatch.setattr(federation, "_forward", noting)
+    texts = []
+    for name, helpers in (("helper", federation._helpers), ("inline", [None])):
+        monkeypatch.setattr(federation, "_helpers", helpers)
+        run_experiment(svm_cfg(tmp_path, **cfg, output_dir=str(tmp_path / name)))
+        texts.append((tmp_path / name / "seed_1" / "rounds.csv").read_bytes())
+        if name == "helper":  # the helper forwarded client rows, if this process has one
+            assert threads == ({True, False} if federation._helper() else {True})
+            threads.clear()
+    assert threads == {True}  # no helper: this thread forwarded every row
+    assert texts[0] == texts[1]
+
+
 def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path, monkeypatch):
     # rounds in this process make its helper thread; every fork stops it first,
     # and each worker makes its own

@@ -21,7 +21,8 @@ path whose list items share the name ``key[]``) and names every other field
 that changed; it exits 1 if any output differs.
 
 The set covers every scheduler (fixed, crd, decay), both SVM hinges, the
-unbalanced partition with equal weights, logistic regression on CSV files,
+unbalanced partition with equal weights (once with stacked rows above the
+round's 4 MiB helper limit), logistic regression on CSV files,
 the MLP on MNIST-format IDX files (with noise and without) and the clip-norm
 pilot.  Inputs are generated under ``<dir>/inputs``; outputs go to
 ``<dir>/runs``, emptied first.  ``manifest.json`` holds wall times: not hashed.
@@ -63,13 +64,21 @@ MLP = dict(
     T_init=12, epsilon_p=8.0, delta_p=1e-3, eta=0.5, clip_C=3.8, zeta=0.01, seeds=(1,),
 )
 
-# name -> config: 16 seed runs in all
+# stacked rows of 6,000 x 100 floats (4.8 MB): above the round's 4 MiB helper limit,
+# so where the process may use two CPUs its fills run on both threads
+WIDE = dict(
+    UNBALANCED, synth_dim=100, size_pattern=(400, 500, 600, 700, 800), U=10, T_init=5,
+    seeds=(1,),
+)
+
+# name -> config: 17 seed runs in all
 RUNS = {
     "svm_fixed": SVM,
     "svm_crd_unit_margin": dict(SVM, scheduler="crd", hinge="unit_margin", zeta=0.003),
     "svm_decay": dict(SVM, scheduler="decay"),
     "svm_unbalanced_fixed": UNBALANCED,
     "svm_unbalanced_decay": dict(UNBALANCED, scheduler="decay", slope_fraction=0.5),
+    "svm_unbalanced_wide_decay": dict(WIDE, scheduler="decay", slope_fraction=0.5),
     "logistic_crd_label_skew": dict(
         LOGISTIC, scheduler="crd", partition_mode="label_skew", labels_per_client=2, zeta=0.02,
     ),
