@@ -1,4 +1,4 @@
-"""Dataset loading, synthesis, client partitioning and each seed's cut.
+"""Dataset loading, synthesis, client partitioning, each seed's cut and its rows.
 
 Datasets are immutable feature/label array pairs.  MNIST is read from the
 IDX binary files on disk (located via an explicit path or the MNIST_DIR
@@ -20,8 +20,8 @@ A ``PartitionPlan`` states each shard size (``sizes``) in one of three layouts:
 * ``unbalanced`` — consecutive equal client groups whose shard sizes
   follow ``size_pattern`` (default 400:600:800:1000:1200).
 
-``partition`` draws a seed's disjoint index arrays; ``cut`` gathers their rows,
-read-only, into row-range shard views that ``cut_from`` and ``pool_of`` trace back.
+``partition`` draws a seed's index arrays and ``cut`` gathers their rows; only this
+module reads ``features``, the others read float64 rows (``float_rows``, ``stack``).
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ class Dataset:
 
     A ``subset`` of read-only data records ``rows_of = (source, rows)``: the
     dataset its rows were taken from and the index array or slice that took
-    them; ``cut_from`` reads it to find the dataset that a list of shards
-    slices.  ``memo`` keeps values computed from the rows with the dataset, so
-    they live as long as it does.
+    them; ``stack`` reads it to find the gather that a list of shards slices.
+    ``memo`` keeps values computed from the rows with the dataset, so they live
+    as long as it does.
 
-    uint8 ``features`` are image bytes: every row read from them
-    (``float_rows``, ``subset``, ``sq_norms``) is float64, ``x / 255``.
+    Every row read from ``features`` (``float_rows``, ``subset``, ``sq_norms``)
+    is float64; uint8 ``features`` are image bytes, read as ``x / 255``.
     """
 
     features: np.ndarray
@@ -111,10 +111,10 @@ class Dataset:
         return self.features.shape[1]
 
     def float_rows(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """The features of ``rows``; image bytes converted to float64, ``x / 255``
-        (bitwise ``x.astype(np.float64) / 255.0``, in one float64 array)."""
+        """The features of ``rows`` as float64 (float64 features as they are); image
+        bytes are ``x / 255`` (bitwise ``x.astype(np.float64) / 255.0``)."""
         x = self.features[rows]
-        return np.divide(x, 255.0, dtype=np.float64) if x.dtype == np.uint8 else x
+        return np.divide(x, 255.0, dtype=float) if x.dtype == np.uint8 else np.asarray(x, float)
 
     def subset(self, indices: np.ndarray | slice) -> "Dataset":
         return Dataset(
@@ -154,34 +154,48 @@ def _read_only(ds: Dataset) -> Dataset:
 
 
 def cut(pool: Dataset, shard_idx) -> tuple[Dataset, list[Dataset]]:
-    """``(gather, shards)``: the read-only gather of the disjoint index arrays'
-    rows of ``pool``, in order, and each shard as a row-range view of it."""
+    """``(gather, shards)``: the read-only gather of the index arrays' rows of
+    ``pool``, in order, and each shard as a row-range view of it."""
     rows = np.concatenate(shard_idx)
     gather = _read_only(pool.subset(rows))
-    # the index arrays are disjoint, so as many rows as the pool holds are all of them
-    gather.memo(_POOL, lambda _: pool if len(rows) == len(pool) else None)
+    # as many rows as the pool holds, none twice, are every pool row
+    covers = len(rows) == len(pool) and np.bincount(rows, minlength=len(pool)).max() == 1
+    gather.memo(_POOL, lambda _: pool if covers else None)
     ends = np.cumsum([len(idx) for idx in shard_idx])
     return gather, [gather.subset(slice(e - len(idx), e)) for idx, e in zip(shard_idx, ends)]
 
 
-def cut_from(shards) -> Dataset | None:
-    """The read-only dataset that ``shards`` are consecutive row slices of, in order
-    and covering all its rows (a ``cut``'s gather); else None."""
-    whole = shards[0].rows_of[0] if shards and shards[0].rows_of else None
-    at = 0
+def stack(shards) -> Dataset:
+    """The shards' rows, in order, as one read-only float64 dataset: a ``cut``'s gather
+    itself if they are its slices in order, else their ``float_rows`` concatenated with
+    their own ``sq_norms`` (a Fortran-ordered or writable shard's are ``local_update``'s)."""
+    gather, at = shards[0].rows_of[0] if shards and shards[0].rows_of else None, 0
     for s in shards:
         source, rows = s.rows_of or (None, None)
-        if source is not whole or not isinstance(rows, slice) or rows != slice(at, at + len(s)):
-            return None
+        if source is not gather or not isinstance(rows, slice) or rows != slice(at, at + len(s)):
+            break
         at += len(s)
-    return whole if whole is not None and at == len(whole) else None
+    else:
+        if gather is not None and at == len(gather) and _POOL in gather._memo:
+            return gather
+    rows = _read_only(Dataset(np.concatenate([s.float_rows() for s in shards]),
+                              np.concatenate([s.labels for s in shards]),
+                              max(s.num_classes for s in shards)))
+    rows._memo["sq_norms"] = norms = np.concatenate([s.sq_norms for s in shards])
+    norms.flags.writeable = False
+    return rows
 
 
-def pool_of(shards) -> Dataset | None:
-    """The pool whose rows ``shards`` hold, if they are every shard, in order, of one
-    ``cut`` that covers its pool; else None."""
-    gather = cut_from(shards)
-    return None if gather is None else gather.memo(_POOL, lambda _: None)
+def gram_top(shards) -> float:
+    """The top eigenvalue of ``stack(shards)``'s row Gram over its row count, kept in
+    its memo; a ``cut`` covering its pool reads the pool's, in pool row order."""
+    rows = stack(shards)
+    return (rows._memo.get(_POOL) or rows).memo("gram_top", _gram_top)
+
+
+def _gram_top(ds: Dataset) -> float:
+    gram = sum(x.T @ x for x in map(ds.float_rows, _row_blocks(len(ds), ds.feature_dim)))
+    return float(np.linalg.eigvalsh(gram / len(ds)).max())
 
 
 def _row_blocks(n: int, dim: int):
@@ -197,8 +211,7 @@ def _sq_norms(ds: Dataset) -> np.ndarray:
     else:
         norms = np.empty(len(ds))
         for r in _row_blocks(len(ds), ds.feature_dim):
-            x = np.asarray(ds.float_rows(r), dtype=float)
-            np.sum(x * x, axis=1, out=norms[r])
+            np.sum(np.square(ds.float_rows(r)), axis=1, out=norms[r])
     norms.flags.writeable = False
     return norms
 

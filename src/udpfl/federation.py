@@ -9,8 +9,8 @@ noise; the server aggregates the uploads by weight and evaluates the new
 model on the clients' rows (loss) and on the test set (loss and accuracy).
 
 Per run, the server stacks the clients' rows in client order (``clients[i].id``
-must be i) and checks their labels once; shards that slice one gather in order
-(``data.cut_from``) are stacked as that gather's own arrays, without a copy.  A
+must be i) with ``data.stack``, which reads every shard as float64 (a ``cut``'s
+shards as their gather's own arrays, without a copy), and checks them once.  A
 round's train-loss forward pass is the one the next round's local steps start
 from, and one backward pass over it serves every selected client.  Each upload
 is noised in place as ``add_noise`` rounds it, and ``aggregate`` folds the
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import ConfigError, _is_int
 from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
-from .data import cut_from
+from .data import stack
 from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward, _forward_buffers
 # accuracy, local_update and loss have no caller here; perfbench/layers.py wraps them by name
 from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_accuracy
@@ -192,7 +192,7 @@ def aggregate(uploads: list) -> np.ndarray:
 
 def evaluate(spec: ModelSpec, params: np.ndarray, dataset) -> tuple:
     """``(loss, accuracy)`` of ``params`` on ``dataset`` from one forward pass."""
-    return loss_and_accuracy(spec, params, dataset.features, dataset.labels)
+    return loss_and_accuracy(spec, params, dataset.float_rows(), dataset.labels)
 
 
 def _selection_rng(seed: int, rnd: int) -> np.random.Generator:
@@ -285,17 +285,12 @@ class _Stacked:
         if [c.id for c in clients] != list(range(len(clients) or 1)):
             raise ValueError("client ids must be their positions 0..U-1, with U >= 1")
         self.spec, self.shards, self.params = spec, [c.shard for c in clients], None
-        Xs, ys = zip(*(_check_batch(spec, params, s.features, s.labels) for s in self.shards))
-        sizes = [len(x) for x in Xs]
+        whole = stack(self.shards)
+        X, self.y = _check_batch(spec, params, whole.float_rows(), whole.labels)
+        self.sq_norms = whole.sq_norms
+        sizes = [len(s) for s in self.shards]
         ends = np.cumsum(sizes)
         self.rows = [slice(e - n, e) for n, e in zip(sizes, ends)]
-        whole = cut_from(self.shards)
-        if whole is None:
-            X, self.y = np.concatenate(Xs), np.concatenate(ys)
-            self.sq_norms = np.concatenate([s.sq_norms for s in self.shards])
-        else:  # the gather holds the shards' rows in order; its float rows serve as they are
-            X, self.y = np.ascontiguousarray(whole.features, dtype=float), whole.labels
-            self.sq_norms = whole.sq_norms
         self.fwd = inputs, pre, scores = _forward_buffers(spec, X)
         # a fill block: consecutive clients of one shard size as (clients, rows, ...) views,
         # which one batched matmul forwards with each client's own BLAS call (see the
@@ -404,7 +399,7 @@ def run_round(
             upload += np.multiply(z[i], sigmas[i], out=z[i])
     new_params = aggregate(list(zip(weights, steps)))
 
-    X_test, y_test = test_eval.features, test_eval.labels
+    X_test, y_test = test_eval.float_rows(), test_eval.labels
     test = partial(loss_and_accuracy, spec, new_params, X_test, y_test)
     test_loss, test_acc = st.fill(new_params, test, X_test.nbytes)
     train_loss = _loss_from_scores(spec, new_params, st.fwd[2], st.y)

@@ -39,11 +39,11 @@ from .data import (
     PartitionPlan,
     _read_only,
     cut,
+    gram_top,
     load_csv_dataset,
     load_mnist,
     mnist_dir,
     partition,
-    pool_of,
     synth_linear,
 )
 from .federation import (
@@ -202,8 +202,8 @@ class ExperimentConfig:
             v.append(f"data_seed must be an int >= 0, got {cfg.data_seed}")
         if synthetic and cfg.model_kind != "svm":
             v.append("synthetic data is binary +1/-1; use model_kind svm")
-        if synthetic and cfg.partition_mode == "label_skew":
-            v.append("synthetic data is binary +1/-1; label_skew needs class indices")
+        if cfg.model_kind == "svm" and cfg.partition_mode == "label_skew":
+            v.append("svm needs binary +1/-1 labels; label_skew needs class indices")
         if synthetic and cfg.partition_mode == "iid" and cfg.shard_size is None:
             v.append("synthetic data needs shard_size to size the pool")
         if not cfg.U >= 1:
@@ -350,27 +350,14 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
     )
 
 
-def _gram_top(datasets) -> float:
-    """Top eigenvalue of the datasets' summed row Gram matrix over their row count."""
-    gram = sum(x.T @ x for x in (d.float_rows() for d in datasets))
-    return float(np.linalg.eigvalsh(gram / sum(len(d) for d in datasets)).max())
-
-
 def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
-    # the convergence theory needs eta <= 1/L; only the convex models have a
-    # cheaply estimable L (top Gram eigenvalue + ridge), so gate on those.
-    # Shards holding every pool row share the pool's value, in pool row order,
-    # so it is computed once per pool and is the same for every seed.
+    # the convergence theory needs eta <= 1/L; only the convex models have a cheaply
+    # estimable L: the top Gram eigenvalue (``data.gram_top``) + ridge for svm, and for
+    # logistic the bias-augmented one times 1/2, the softmax curvature bound
     if spec.kind == "mlp" or spec.input_dim > 2000:
         return
-    pool = pool_of(shards)
-    if pool is None:
-        gram_top = _gram_top(shards)
-    else:
-        gram_top = pool.memo("gram_top", lambda ds: _gram_top([ds]))
-    L = gram_top + (cfg.kappa if spec.kind == "svm" else 0.0)
-    if spec.kind == "logistic":
-        L = 0.5 * (gram_top + 1.0)  # bias-augmented, softmax curvature <= 1/2
+    top = gram_top(shards)
+    L = top + cfg.kappa if spec.kind == "svm" else 0.5 * (top + 1.0)
     if cfg.eta > 1.0 / L:
         raise ConfigError(
             [f"eta={cfg.eta} exceeds 1/L={1.0 / L:.6g} estimated from the data"]
@@ -548,6 +535,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, outdir=None) -> Path:
     bad = [x for x in values if kind is int and not _is_int(x)]  # a float would be truncated
     if bad:
         raise ValueError(f"axis {axis} takes integers, got {bad}")
+    typed = [kind(x) for x in values]
+    if len(set(typed)) < len(typed):  # as validate() treats seeds: one <axis>_<value>/ each
+        raise ValueError(f"axis {axis} values must be distinct, got {typed}")
     cfg = cfg.check()
     if axis == "T":  # fixed-T sweep: the round budget is pinned, no adaptive discounting
         cfg = dataclasses.replace(cfg, scheduler="fixed")
@@ -611,7 +601,7 @@ def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, 
     for r in range(rounds):
         for c in clients:
             norms = per_sample_grad_norms(
-                spec, server.global_params, c.shard.features, c.shard.labels
+                spec, server.global_params, c.shard.float_rows(), c.shard.labels
             )
             norms_all.append(norms)
             rows.extend((r, c.id, n) for n in norms)

@@ -14,10 +14,12 @@ from udpfl.data import (
     _read_only,
     _skew_subsets,
     cut,
+    gram_top,
     load_csv_dataset,
     load_idx,
     load_mnist,
     partition,
+    stack,
     synth_linear,
 )
 from udpfl.models import ModelSpec, accuracy, local_update, loss
@@ -405,3 +407,22 @@ def test_plan_sizes_are_the_partitions_shard_lengths(plan, U):
     # without the pool's row count, exactly the sizes that depend on it are unknown
     depends_on_n = plan.mode != "unbalanced" and plan.shard_size is None
     assert plan.sizes(U) == ([None] * U if depends_on_n else plan.sizes(U, len(ds)))
+
+
+@pytest.mark.parametrize(
+    "shard_idx, covers",
+    [
+        ([np.arange(5), np.arange(5)], False),  # as many rows as the pool, 5 of them distinct
+        ([np.arange(5, 10), np.arange(3), np.arange(3, 5)], True),
+        ([np.arange(4), np.arange(6, 10)], False),
+    ],
+    ids=["repeated", "every_row", "short"],
+)
+def test_a_cut_shares_its_pools_gram_only_if_it_holds_every_pool_row(shard_idx, covers):
+    X = np.random.default_rng(6).normal(size=(10, 3))
+    pool = _read_only(Dataset(X, np.where(np.arange(10) % 2, 1, -1), 2))
+    gather, shards = cut(pool, shard_idx)
+    assert stack(shards) is gather
+    x = (pool if covers else gather).float_rows()
+    assert gram_top(shards) == float(np.linalg.eigvalsh(x.T @ x / len(x)).max())
+    assert ("gram_top" in pool._memo) is covers and ("gram_top" in gather._memo) is not covers

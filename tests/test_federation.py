@@ -804,3 +804,60 @@ def test_out_of_range_label_rejected_before_any_charge(spec):
     with pytest.raises(ValueError, match="labels"):
         run_round(server, clients, cfg, test)
     assert server.t == 0 and all(c.sigma_history == [] for c in clients)
+
+
+# --- image-byte shards: the rows the steps read are the rows the clip norms read ---
+
+
+def byte_rows(spec, n, seed):
+    """``n`` rows of random image bytes and labels for ``spec``."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(n, spec.input_dim), dtype=np.uint8)
+    return images, make_batch(spec, n, seed + 1)[1]
+
+
+@pytest.mark.parametrize("min_bytes", [0, 1 << 62], ids=["helper", "inline"])
+@pytest.mark.parametrize("epsilon", [INF, 4.0], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_byte_shards_round_as_their_float_copies_bitwise(
+    spec, epsilon, min_bytes, monkeypatch
+):
+    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    sizes = (7, 3, 12, 5, 9)
+    ends = np.cumsum(sizes)
+    images, y = byte_rows(spec, ends[-1] + 20, 60)
+    cfg = FederationConfig(spec=spec, K=3, eta=0.3, clip=0.5, seed=0)
+    budget, classes = PrivacyBudget(epsilon, 1e-3), max(spec.num_classes, 2)
+    params = np.random.default_rng(61).normal(scale=0.5, size=param_count(spec))
+    runs = []
+    for X in images, images / 255.0:
+        clients = [
+            ClientState(i, Dataset(X[e - n : e], y[e - n : e], classes),
+                        MomentLedger(budget, 0.6, sensitivity(cfg.eta, cfg.clip, n)))
+            for i, (n, e) in enumerate(zip(sizes, ends))
+        ]
+        test = Dataset(X[ends[-1] :], y[ends[-1] :], classes)
+        server = ServerState(global_params=params.copy(), T=10)
+        runs.append(([run_round(server, clients, cfg, test) for _ in range(3)], server))
+    (got, got_server), (want, want_server) = runs
+    assert got == want
+    assert got_server.global_params.tobytes() == want_server.global_params.tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_one_byte_row_moves_a_noiseless_step_by_at_most_dl(spec):
+    n, classes = 12, max(spec.num_classes, 2)
+    images, y = byte_rows(spec, n, 70)
+    cfg = FederationConfig(spec=spec, K=1, eta=0.3, clip=0.5, seed=0)
+    ledger = MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0)
+    params = np.random.default_rng(71).normal(scale=0.5, size=param_count(spec))
+    steps = []
+    for row in images[0], 255 - images[0]:  # neighbouring shards: row 0 replaced
+        X = images.copy()
+        X[0] = row
+        server = ServerState(global_params=params.copy(), T=1)
+        shard = Dataset(X, y, classes)
+        run_round(server, [ClientState(0, shard, ledger)], cfg, shard)
+        steps.append(server.global_params)
+    dl = sensitivity(cfg.eta, cfg.clip, n)
+    assert np.linalg.norm(steps[0] - steps[1]) <= dl * (1 + 1e-12)

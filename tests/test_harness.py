@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import multiprocessing
+import re
 import threading
 import weakref
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from udpfl import accountant, cli, data, federation, harness
 from udpfl.accountant import MomentLedger, PrivacyBudget
-from udpfl.data import Dataset, PartitionPlan, cut_from, partition, synth_linear
+from udpfl.data import Dataset, PartitionPlan, partition, stack, synth_linear
 from udpfl.federation import WEIGHT_MODES
 from udpfl.harness import (
     ROUNDS_COLUMNS,
@@ -251,7 +252,7 @@ def test_decay_scheduler_needs_finite_epsilon(tmp_path):
         (dict(partition_mode="unbalanced", size_pattern=(), shard_size=None), "size_pattern"),
         (dict(labels_per_client=0), "labels_per_client"),
         (dict(shard_size=None), "synthetic data needs shard_size"),
-        (dict(partition_mode="label_skew"), "synthetic data is binary +1/-1; label_skew"),
+        (dict(partition_mode="label_skew"), "svm needs binary +1/-1 labels; label_skew"),
         (dict(zeta=math.nan), "zeta"),
         (dict(kappa=math.nan), "kappa"),
         (dict(epsilon_p=math.nan), "epsilon_p"),
@@ -671,6 +672,21 @@ def test_sweep_rejects_unknown_axis(tmp_path):
         sweep(svm_cfg(tmp_path), "gamma", [1])
 
 
+@pytest.mark.parametrize(
+    "axis, values, typed", [("T", "4,4", [4, 4]), ("epsilon", "6,6.0", [6.0, 6.0])]
+)
+def test_sweep_rejects_repeated_axis_values_before_any_point(tmp_path, capsys, axis, values, typed):
+    message = f"axis {axis} values must be distinct, got {typed}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(svm_cfg(tmp_path), axis, cli._num_list(values))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(svm_cfg(tmp_path).to_dict()))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"udpfl: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- report tables ---
 
 
@@ -902,13 +918,13 @@ def test_missing_data_file_is_not_cached(tmp_path, fresh_pool):
 @pytest.fixture
 def gram_calls(monkeypatch):
     """The row count of every Gram the eta guard computes."""
-    calls, real = [], harness._gram_top
+    calls, real = [], data._gram_top
 
-    def spy(datasets):
-        calls.append(sum(len(d) for d in datasets))
-        return real(datasets)
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(harness, "_gram_top", spy)
+    monkeypatch.setattr(data, "_gram_top", spy)
     return calls
 
 
@@ -979,7 +995,8 @@ def test_eta_guard_reads_a_byte_pools_rows_as_floats(tmp_path, fresh_pool, mnist
         cfg = logistic_mnist_cfg(tmp_path, mnist_like, eta=eta)
         shards, train_eval, _ = load_experiment_data(cfg, 1)
         pool, _ = harness._data_pool(cfg)
-        assert data.pool_of(shards) is pool  # so the guard reads the pool's L
+        # the shards stack as their gather, which covers the pool: the guard reads the pool's L
+        assert stack(shards) is train_eval and train_eval.memo(data._POOL, None) is pool
         spec = build_model_spec(cfg, train_eval)
         if verdict is None:
             build_simulation(cfg, 1, shards, spec)
@@ -1040,7 +1057,7 @@ def test_stacked_rows_are_the_gathers_own_arrays_else_the_shards_concatenated(
     shards, train_eval, _ = load_experiment_data(cfg, 1)
     spec = build_model_spec(cfg, train_eval)
     st = stacked(spec, shards)
-    assert cut_from(shards) is train_eval
+    assert stack(shards) is train_eval
     assert np.shares_memory(st.fwd[0][0], train_eval.features)
     assert np.shares_memory(st.sq_norms, train_eval.sq_norms)
     X = np.random.default_rng(5).normal(size=(30, cfg.synth_dim))
@@ -1054,7 +1071,7 @@ def test_stacked_rows_are_the_gathers_own_arrays_else_the_shards_concatenated(
     }
     for name, case in cases.items():
         st = stacked(spec, case)
-        assert cut_from(case) is None, name
+        assert stack(case) is not train_eval, name
         assert st.fwd[0][0].tobytes() == np.concatenate([s.features for s in case]).tobytes()
         assert st.sq_norms.tobytes() == np.concatenate([s.sq_norms for s in case]).tobytes()
         assert np.array_equal(st.y, np.concatenate([s.labels for s in case])), name
@@ -1200,6 +1217,23 @@ def test_label_skew_shard_size_off_the_label_multiple_is_rejected_before_any_see
     if rc:  # no seed ran
         assert out == "" and err.startswith("udpfl: error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+
+def test_svm_label_skew_is_rejected_before_any_seed_for_every_data_source(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, 40)  # +1/-1 labels, which label skew cannot split by class
+    message = "svm needs binary +1/-1 labels; label_skew needs class indices"
+    for source in dict(), dict(data_source="mnist"), dict(data_source="csv", csv_train=str(path)):
+        assert message in svm_cfg(tmp_path, partition_mode="label_skew", **source).validate()
+    cfg = svm_cfg(tmp_path, data_source="csv", csv_train=str(path), partition_mode="label_skew",
+                  labels_per_client=2, shard_size=4, U=4)
+    assert cfg.validate() == [message]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("udpfl: error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_rejected_input_without_traceback(tmp_path, capsys):
