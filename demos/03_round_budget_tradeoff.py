@@ -16,7 +16,6 @@ import numpy as np
 from udpfl.federation import run_training
 from udpfl.harness import (
     ExperimentConfig,
-    build_model_spec,
     build_simulation,
     load_experiment_data,
 )
@@ -43,14 +42,14 @@ CFG = ExperimentConfig(
 
 
 def make_env(seed):
-    shards, train_eval, test = load_experiment_data(CFG, seed)
-    return shards, train_eval, test, build_model_spec(CFG, train_eval)
+    shards, _, test = load_experiment_data(CFG, seed)
+    return shards, test
 
 
 def final_loss(env, eps, T, seed):
-    shards, train_eval, test, spec = env
+    shards, test = env
     cfg = dataclasses.replace(CFG, epsilon_p=eps, T_init=T)
-    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
+    server, clients, fcfg = build_simulation(cfg, seed, shards)
     res = run_training(server, clients, fcfg, test)
     return res.records[-1].test_loss
 

@@ -19,7 +19,6 @@ import time
 
 from udpfl.harness import (
     ExperimentConfig,
-    build_model_spec,
     build_simulation,
     load_experiment_data,
     run_simulation,
@@ -50,15 +49,14 @@ cfg = ExperimentConfig(
     zeta=1e-3,
 ).resolved()
 try:
-    shards, train_eval, test = load_experiment_data(cfg, SEED)
+    shards, _, test = load_experiment_data(cfg, SEED)
 except FileNotFoundError as e:
     sys.exit(f"MNIST not found ({e}); run `udpfl fetch-mnist` first")
-spec = build_model_spec(cfg, train_eval)
 
 
 def run(scheduler):
     run_cfg = dataclasses.replace(cfg, scheduler=scheduler)
-    server, clients, fcfg = build_simulation(run_cfg, SEED, shards, spec)
+    server, clients, fcfg = build_simulation(run_cfg, SEED, shards)
     t0 = time.time()
     res = run_simulation(run_cfg, server, clients, fcfg, test)
     return res, time.time() - t0

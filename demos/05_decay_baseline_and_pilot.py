@@ -15,7 +15,6 @@ import dataclasses
 from udpfl.accountant import inverse_variance_budget
 from udpfl.harness import (
     ExperimentConfig,
-    build_model_spec,
     build_simulation,
     load_experiment_data,
     pilot_clip,
@@ -44,10 +43,9 @@ cfg = ExperimentConfig(
 C, log_path = pilot_clip(cfg, seed=1, rounds=3)
 print(f"pilot clip recommendation: C = {C:.4f}   (norms logged to {log_path})")
 
-shards, train_eval, test = load_experiment_data(cfg, 1)
-spec = build_model_spec(cfg, train_eval)
+shards, _, test = load_experiment_data(cfg, 1)
 cfg = dataclasses.replace(cfg, clip_C=C)
-server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
+server, clients, fcfg = build_simulation(cfg, 1, shards)
 
 result = run_simulation(cfg, server, clients, fcfg, test)
 print(

@@ -8,13 +8,13 @@ one full-batch clipped step from the global parameters and adds Gaussian
 noise; the server aggregates the uploads by weight and evaluates the new
 model on the clients' rows (loss) and on the test set (loss and accuracy).
 
-Per run, the server stacks the clients' rows in client order (``clients[i].id``
-must be i) with ``data.stack``, which reads every shard as float64 (a ``cut``'s
+Client i is ``clients[i]``.  Per run, the server stacks the clients' rows in
+that order with ``data.stack``, which reads every shard as float64 (a ``cut``'s
 shards as their gather's own arrays, without a copy), and checks them once.  A
 round's train-loss forward pass is the one the next round's local steps start
 from, and one backward pass over it serves every selected client.  Each upload
-is noised in place as ``add_noise`` rounds it, and ``aggregate`` folds the
-uploads in client-id order.
+adds its ``sigma * z``, rounded as ``add_noise`` rounds it, and ``aggregate``
+folds the uploads in client order.
 
 Each process has one helper thread, made on first use, and none where the
 process may use one CPU only.  In a round it draws the noisy clients' standard
@@ -39,10 +39,10 @@ of that, and a child would wait forever on the parent's thread); parent and
 child each make a new one on their next round.  Checked on Python 3.11 with the
 fork start method.
 
-Randomness is drawn from per-purpose generators keyed by
-(seed, tag, round) for selection and (seed, tag, client, round) for noise,
-so results are independent of execution order and identical under any
-parallel schedule.
+Randomness is drawn from per-purpose streams keyed by ``_stream``: (seed, tag)
+for the initial parameters and the partition, (seed, tag, round) for selection
+and (seed, tag, client, round) for noise, so results are independent of
+execution order and identical under any parallel schedule.
 
 A client budget with ``epsilon == inf`` disables noise entirely: sigma is
 0, no ledger entries accrue, and no random draws are consumed, which makes
@@ -69,8 +69,7 @@ from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward,
 # accuracy, local_update and loss have no caller here; perfbench/layers.py wraps them by name
 from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_accuracy
 
-_TAG_SELECT = 1
-_TAG_NOISE = 2
+_TAGS = dict(init=0, select=1, noise=2, partition=11)
 WEIGHT_MODES = ("by_size", "equal")
 _helpers: list = []  # once made: [this process's one-thread executor, or None on one CPU]
 # a smaller helper batch runs inline: waking the helper can cost ~0.1 ms, as much as the work
@@ -81,13 +80,12 @@ _HELPER_MIN_BYTES = 1 << 22
 class ClientState:
     """One simulated client: data shard and the privacy ledger of its class."""
 
-    id: int
     shard: object  # Dataset
     ledger: MomentLedger
 
     def __post_init__(self) -> None:
         if len(self.shard) == 0:
-            raise ValueError(f"client {self.id}: empty shard")
+            raise ValueError("empty shard")
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -97,10 +95,6 @@ class ClientState:
     def sigma_history(self) -> list:
         """The class ledger's own list of charged noise scales (shared, not a copy)."""
         return self.ledger.sigmas
-
-    @property
-    def noiseless(self) -> bool:
-        return math.isinf(self.budget.epsilon)
 
 
 @dataclass
@@ -120,7 +114,7 @@ class ServerState:
 class RoundRecord:
     round: int
     T_at_start: int
-    sigma_by_client: dict  # selected client id -> noise scale used
+    sigma_by_client: dict  # selected client's position -> noise scale used
     train_loss: float
     test_loss: float
     test_accuracy: float
@@ -195,12 +189,17 @@ def evaluate(spec: ModelSpec, params: np.ndarray, dataset) -> tuple:
     return loss_and_accuracy(spec, params, dataset.float_rows(), dataset.labels)
 
 
+def _stream(seed: int, tag: str, *ids: int) -> np.random.SeedSequence:
+    """The key ``(seed, _TAGS[tag], *ids)`` of one random stream."""
+    return np.random.SeedSequence((seed, _TAGS[tag], *ids))
+
+
 def _selection_rng(seed: int, rnd: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _TAG_SELECT, rnd)))
+    return np.random.default_rng(_stream(seed, "select", rnd))
 
 
-def _noise_rng(seed: int, client_id: int, rnd: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _TAG_NOISE, client_id, rnd)))
+def _noise_rng(seed: int, client: int, rnd: int) -> np.random.Generator:
+    return np.random.default_rng(_stream(seed, "noise", client, rnd))
 
 
 def _draw_noise(rngs: list, block: np.ndarray) -> None:
@@ -271,10 +270,15 @@ def _on_helper(nbytes: int, job=None, blocks=()):
         wait((future,))
 
 
+def _noisy_ledgers(clients: list) -> tuple:
+    """The classes that take noise: the distinct ledgers of finite epsilon, in client order."""
+    return tuple(dict.fromkeys(c.ledger for c in clients if math.isfinite(c.budget.epsilon)))
+
+
 def _round_sigmas(clients: list, T: int) -> dict:
-    """Each noisy client's ledger -> its noise scale this round; raises BudgetExhausted."""
+    """Each noisy class's ledger -> its noise scale this round; raises BudgetExhausted."""
     return {led: recalibrate_sigma(led.budget, led.q, T, led.rounds, led.sigmas, led.dl)
-            for led in dict.fromkeys(c.ledger for c in clients if not c.noiseless)}
+            for led in _noisy_ledgers(clients)}
 
 
 class _Stacked:
@@ -282,8 +286,8 @@ class _Stacked:
     and buffers holding one forward pass over them at ``self.params``."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, clients: list):
-        if [c.id for c in clients] != list(range(len(clients) or 1)):
-            raise ValueError("client ids must be their positions 0..U-1, with U >= 1")
+        if not clients:
+            raise ValueError("a round needs at least one client")
         self.spec, self.shards, self.params = spec, [c.shard for c in clients], None
         whole = stack(self.shards)
         X, self.y = _check_batch(spec, params, whole.float_rows(), whole.labels)
@@ -309,13 +313,6 @@ class _Stacked:
                 self.blocks.append(
                     (view(X), ([*map(view, inputs)], [*map(view, pre)], view(scores)))
                 )
-        self.noise = np.empty((0, len(params)))
-
-    def noise_rows(self, k: int) -> np.ndarray:
-        """``k`` rows of scratch for one round's standard normals, kept across rounds."""
-        if len(self.noise) < k:
-            self.noise = np.empty((k, self.noise.shape[1]))
-        return self.noise[:k]
 
     def fill(self, params: np.ndarray, job=None, nbytes: int = 0):
         """Forward every client's rows at ``params`` into its row range, in blocks shared
@@ -338,19 +335,19 @@ def run_round(
 ) -> RoundRecord:
     """Execute one round; mutates server and client ledgers only on success.
 
-    ``clients[i].id`` must be i.  The train loss is over the clients' rows, and
+    Client i is ``clients[i]``.  The train loss is over the clients' rows, and
     its forward pass feeds the next round's local steps.  ``sigma_override``
     (class ledger -> noise scale) bypasses the budget recalibration — used by
     externally-scheduled baselines, which check the same ledgers with their own
-    halting rule before each round.  Its keys must be exactly the noisy
-    clients' ledgers and its values > 0, or it raises ``ValueError`` before any
-    draw, charge or parameter change.
+    halting rule before each round.  Its keys must be exactly the noisy classes'
+    ledgers (``_noisy_ledgers``) and its values > 0, or it raises ``ValueError``
+    before any draw, charge or parameter change.
 
     Order: refill the stacked forward if the parameters moved; noise scales
     (may raise ``BudgetExhausted``); selection; the helper draws the noisy
     selected clients' z while this thread runs the backward pass and the
-    clipped steps; once the draws are done, each step takes ``sigma * z`` in
-    place and ``aggregate`` folds the steps; the helper evaluates ``test_eval``
+    clipped steps; once the draws are done, each step adds its ``sigma * z``
+    and ``aggregate`` folds the steps; the helper evaluates ``test_eval``
     and then forwards blocks of clients' rows from the front while this thread
     forwards them from the back.  The helper is joined before the round goes on or
     raises (the module docstring says why the thread schedule cannot show in the
@@ -370,7 +367,7 @@ def run_round(
         charges = _round_sigmas(clients, server.T)
     else:
         charges = {led: float(s) for led, s in sigma_override.items()}
-        ledgers = {c.ledger for c in clients if not c.noiseless}
+        ledgers = set(_noisy_ledgers(clients))
         # > 0 rejects NaN too, which no upload or ledger may take
         if charges.keys() != ledgers or not all(s > 0.0 for s in charges.values()):
             raise ValueError("sigma_override must map the noisy clients' ledgers to sigmas > 0")
@@ -383,7 +380,7 @@ def run_round(
     else:
         weights = [1.0 / cfg.K] * len(selected)
     noisy = [i for i in selected if sigmas[i] != 0.0]  # as add_noise: sigma 0 draws nothing
-    rows = st.noise_rows(len(noisy))
+    rows = np.empty((len(noisy), len(params)))
     z = dict(zip(noisy, rows))
     # the generators are built on this thread: that work holds the GIL, the fill does not
     rngs = [_noise_rng(cfg.seed, i, rnd) for i in noisy]
@@ -396,7 +393,7 @@ def run_round(
         drawn()
     for i, upload in zip(selected, steps):  # rounded as add_noise
         if i in z:
-            upload += np.multiply(z[i], sigmas[i], out=z[i])
+            upload += sigmas[i] * z[i]
     new_params = aggregate(list(zip(weights, steps)))
 
     X_test, y_test = test_eval.float_rows(), test_eval.labels

@@ -1,7 +1,8 @@
 """Experiment harness: configs, data pool, runners, sweeps and the clip-norm pilot.
 
-A single JSON config drives everything.  Parameter names follow the
-ASCII forms used throughout the package: ``epsilon_p``/``delta_p`` for the
+A single JSON config drives everything: with a seed and that seed's shards, it
+wires a whole run (``build_simulation``).  Parameter names follow the ASCII
+forms used throughout the package: ``epsilon_p``/``delta_p`` for the
 per-client privacy budget, ``beta``/``zeta`` for the round-discounting
 scheduler, ``eta`` for the local learning rate, ``clip_C`` for the
 gradient clipping threshold, ``T_init``/``U``/``K`` for the round and
@@ -44,6 +45,7 @@ from .data import (
     load_mnist,
     mnist_dir,
     partition,
+    stack,
     synth_linear,
 )
 from .federation import (
@@ -51,6 +53,7 @@ from .federation import (
     FederationConfig,
     ServerState,
     TrainingResult,
+    _stream,
     evaluate,
     run_round,
     run_training,
@@ -69,9 +72,6 @@ ROUNDS_COLUMNS = (
     "selected_clients",
     "trigger_fired",
 )
-
-_TAG_INIT = 0
-_TAG_PARTITION = 11
 
 
 # the component fields whose names differ from the config keys that set them
@@ -276,10 +276,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _derived_seed(seed: int, tag: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, tag))
-
-
 def _plan(cfg: ExperimentConfig) -> PartitionPlan:
     return PartitionPlan(
         cfg.partition_mode, cfg.shard_size, cfg.labels_per_client, cfg.size_pattern
@@ -338,7 +334,7 @@ def load_experiment_data(cfg: ExperimentConfig, seed: int):
     MNIST and CSV partitions with rows to spare pay for their own.
     """
     train, test = _data_pool(cfg)
-    shard_idx = partition(train, _plan(cfg), cfg.U, _derived_seed(seed, _TAG_PARTITION))
+    shard_idx = partition(train, _plan(cfg), cfg.U, _stream(seed, "partition"))
     train_eval, shards = cut(train, shard_idx)
     return shards, train_eval, test
 
@@ -393,25 +389,30 @@ def rounds_csv_text(seed: int, records) -> str:
     return _csv(ROUNDS_COLUMNS, rows)
 
 
-def build_simulation(cfg: ExperimentConfig, seed: int, shards, spec: ModelSpec):
+def build_simulation(cfg: ExperimentConfig, seed: int, shards):
     """Wire one run of a resolved config over already-loaded client shards.
 
-    Returns ``(server, clients, federation config)``: the clients of one shard size
-    (a class) share a ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``,
+    Returns ``(server, clients, federation config)``: the model is ``build_model_spec``
+    of the shards' ``stack``, client i holds ``shards[i]``, the clients of one shard
+    size (a class) share a ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``,
     ``q = K/U`` and that size's sensitivity, and the server starts at round budget
-    ``T_init`` from parameters drawn from the seed's initialization stream.
-    Raises ``ConfigError`` if a convex model's ``eta`` exceeds 1/L of the shards.
+    ``T_init`` from parameters drawn from the seed's initialization stream.  Raises
+    ``ValueError`` without shards, ``ConfigError`` if a convex model's ``eta``
+    exceeds 1/L of the shards.
     """
+    if not shards:
+        raise ValueError("build_simulation needs at least one shard")
+    spec = build_model_spec(cfg, stack(shards))
     _check_eta_against_smoothness(cfg, spec, shards)
     budget, q = PrivacyBudget(cfg.epsilon_p, cfg.delta_p), cfg.K / len(shards)
     ledgers = {n: MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, n))
                for n in {len(shard) for shard in shards}}
-    clients = [ClientState(i, shard, ledgers[len(shard)]) for i, shard in enumerate(shards)]
+    clients = [ClientState(shard, ledgers[len(shard)]) for shard in shards]
     fcfg = FederationConfig(
         spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
         weight_mode=cfg.weight_mode,
     )
-    params0 = init_params(spec, np.random.default_rng(_derived_seed(seed, _TAG_INIT)))
+    params0 = init_params(spec, np.random.default_rng(_stream(seed, "init")))
     return ServerState(global_params=params0, T=cfg.T_init), clients, fcfg
 
 
@@ -442,8 +443,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     cfg = cfg.resolved()
     outdir = Path(outdir)
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
-    spec = build_model_spec(cfg, train_eval)
-    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
+    server, clients, fcfg = build_simulation(cfg, seed, shards)
     result = run_simulation(cfg, server, clients, fcfg, test_eval)
     records, stop = result.records, result.stop_reason
 
@@ -593,18 +593,17 @@ def pilot_clip(cfg: ExperimentConfig, seed: int | None = None, rounds: int = 1, 
     cfg = cfg.check()
     seed = seed if seed is not None else cfg.seeds[0]
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
-    shards, train_eval, test_eval = load_experiment_data(cfg, seed)
-    spec = build_model_spec(cfg, train_eval)
+    shards, _, test_eval = load_experiment_data(cfg, seed)
     pilot = dataclasses.replace(cfg, epsilon_p=math.inf, K=cfg.U, T_init=rounds)
-    server, clients, fcfg = build_simulation(pilot, seed, shards, spec)
+    server, clients, fcfg = build_simulation(pilot, seed, shards)
     rows, norms_all = [], []
     for r in range(rounds):
-        for c in clients:
+        for i, c in enumerate(clients):
             norms = per_sample_grad_norms(
-                spec, server.global_params, c.shard.float_rows(), c.shard.labels
+                fcfg.spec, server.global_params, c.shard.float_rows(), c.shard.labels
             )
             norms_all.append(norms)
-            rows.extend((r, c.id, n) for n in norms)
+            rows.extend((r, i, n) for n in norms)
         run_round(server, clients, fcfg, test_eval)
     path = outdir / "pilot_norms.csv"
     _atomic_write_text(path, _csv(("round", "client", "norm"), rows))

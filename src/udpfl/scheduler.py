@@ -7,8 +7,8 @@
   beta — ``T <- floor(beta*(T - t)) + t`` — and let the noise
   recalibration absorb the change;
 * linear noise decay: a fixed starting noise scale shrinking linearly
-  each round, halted by the moment-tail bound of each client class's
-  ``MomentLedger`` instead of a preset round count.
+  each round for each noisy client class (a noiseless one takes none),
+  halted by its ``MomentLedger``'s moment-tail bound, not a preset round count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from . import ConfigError, _is_int
 from .accountant import calibrate_sigma
 # evaluate has no caller here; perfbench/layers.py wraps scheduler.evaluate by name
-from .federation import FederationConfig, ServerState, TrainingResult, evaluate, run_round
+from .federation import (
+    FederationConfig, ServerState, TrainingResult, _noisy_ledgers, evaluate, run_round,
+)
 
 # floor() guard so values like 0.9*150 = 134.99999999999997 floor to 135
 _FLOOR_EPS = 1e-9
@@ -98,18 +100,19 @@ def linear_decay_baseline(
 ) -> TrainingResult:
     """Linearly shrinking noise, halted by the cumulative moment accountant.
 
-    Round r uses ``sigma_start - slope*r`` per client class (ledger), with
-    ``slope = slope_fraction * sigma_start / T``; ``slope_fraction=0``
-    keeps sigma fixed.  Before each round every class's ledger previews
+    Round r uses ``sigma_start - slope*r`` per noisy client class (ledger),
+    with ``slope = slope_fraction * sigma_start / T``; ``slope_fraction=0``
+    keeps sigma fixed.  Before each round every noisy class's ledger previews
     the charge ``run_round`` makes, and the run halts as soon as any
     class's tail bound would exceed its delta at its epsilon — so at halt
     the spent privacy is within budget and one more round would not be.
-    The round takes the same ledger -> sigma map as its ``sigma_override``.
+    The round takes the same ledger -> sigma map as its ``sigma_override``,
+    so a run with no noisy class goes to T.
     """
     if not slope_fraction >= 0.0:
         raise ValueError(f"slope_fraction must be >= 0, got {slope_fraction}")
-    ledgers = dict.fromkeys(c.ledger for c in clients)  # one per class
-    sigma_start = {led: calibrate_sigma(led.budget, led.q, server.T, led.dl) for led in ledgers}
+    sigma_start = {led: calibrate_sigma(led.budget, led.q, server.T, led.dl)
+                   for led in _noisy_ledgers(clients)}
     slopes = {led: slope_fraction * s / server.T for led, s in sigma_start.items()}
 
     halt = "completed"

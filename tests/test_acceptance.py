@@ -41,7 +41,6 @@ from udpfl.accountant import (
 from udpfl.federation import add_noise, run_training, sample_clients
 from udpfl.harness import (
     ExperimentConfig,
-    build_model_spec,
     build_simulation,
     load_experiment_data,
     run_experiment,
@@ -80,10 +79,10 @@ def _ledger_margin(clients, q, eta, clip, n_samples):
 
 
 def _train_once(env, K, eps, T, seed, crd=False):
-    cfg, shards, train_eval, test, spec = env
+    cfg, shards, test = env
     scheduler = "crd" if crd else "fixed"
     cfg = dataclasses.replace(cfg, K=K, epsilon_p=eps, T_init=T, scheduler=scheduler)
-    server, clients, fcfg = build_simulation(cfg, seed, shards, spec)
+    server, clients, fcfg = build_simulation(cfg, seed, shards)
     result = run_simulation(cfg, server, clients, fcfg, test)
     return result, clients
 
@@ -218,7 +217,7 @@ def test_05_noiseless_federation_equals_centralized_gd():
         model_kind="svm", kappa=1e-2, U=5, K=5, T_init=20, epsilon_p=math.inf,
         delta_p=DELTA, eta=0.05, clip_C=0.5,
     )
-    server, clients, fcfg = build_simulation(cfg, 3, shards, spec)
+    server, clients, fcfg = build_simulation(cfg, 3, shards)
     w = server.global_params.copy()
     result = run_training(server, clients, fcfg, test)
 
@@ -254,8 +253,8 @@ def _svm_env(seed):
         eta=SVM_U["eta"],
         clip_C=SVM_U["clip"],
     ).resolved()
-    shards, train_eval, test = load_experiment_data(cfg, seed)
-    return cfg, shards, train_eval, test, build_model_spec(cfg, train_eval)
+    shards, _, test = load_experiment_data(cfg, seed)
+    return cfg, shards, test
 
 
 @pytest.fixture(scope="session")
@@ -312,8 +311,8 @@ def _mnist_env(seed):
         eta=MLP_FAST["eta"],
         clip_C=MLP_FAST["clip"],
     ).resolved()
-    shards, train_eval, test = load_experiment_data(cfg, seed)
-    return cfg, shards, train_eval, test, build_model_spec(cfg, train_eval)
+    shards, _, test = load_experiment_data(cfg, seed)
+    return cfg, shards, test
 
 
 @pytest.fixture(scope="session")
@@ -413,9 +412,9 @@ def test_10_every_run_stays_within_noise_budget(u_shape_runs, discounting_runs):
     """Spent inverse noise variance <= budget + 1e-9 for every client of every
     completed run, across all three schedulers."""
     # add a linear-decay run so all schedulers are represented
-    cfg, shards, train_eval, test, spec = _svm_env(1)
+    cfg, shards, test = _svm_env(1)
     cfg = dataclasses.replace(cfg, T_init=60, scheduler="decay")
-    server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
     decay = run_simulation(cfg, server, clients, fcfg, test)
     assert decay.realized_T > 0
     LEDGER_AUDIT.append((

@@ -92,7 +92,7 @@ def make_federation(
     )
     clients = [
         ClientState(
-            i, shards[i],
+            shards[i],
             MomentLedger(budget, cfg.K / n_clients, sensitivity(eta, clip, len(shards[i]))),
         )
         for i in range(n_clients)
@@ -361,7 +361,7 @@ def test_nonpositive_sigma_override_rejected_before_any_charge():
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(
             server, clients, cfg, test,
-            sigma_override={c.ledger: 0.0 if c.id == 3 else 0.5 for c in clients},
+            sigma_override={c.ledger: 0.0 if i == 3 else 0.5 for i, c in enumerate(clients)},
         )
     assert server.t == 0 and len(server.records) == 0
     assert all(c.sigma_history == [] for c in clients)
@@ -418,7 +418,7 @@ def test_empty_shard_rejected():
     ds = synth_linear(10, 3, 1.0, seed=0)
     with pytest.raises(ValueError, match="empty"):
         ClientState(
-            0, ds.subset(np.array([], dtype=int)),
+            ds.subset(np.array([], dtype=int)),
             MomentLedger(PrivacyBudget(1.0, 0.01), 1.0, sensitivity(0.05, 0.5, 1)),
         )
 
@@ -434,24 +434,14 @@ def test_mixed_sensitivities_get_distinct_sigmas():
     assert sig[0] > sig[2]  # smaller shard -> larger sensitivity -> more noise
 
 
-def test_client_ids_must_be_their_positions():
-    # sigmas are keyed by client id but the selection reads clients by position:
-    # a 10-row client at position 0 with id 1 would upload with the noise of
-    # the 90-row client's (smaller) sensitivity
-    ds = synth_linear(120, 4, 1.0, seed=3)
+def test_round_rejects_an_empty_client_list():
+    ds = synth_linear(20, 4, 1.0, seed=3)
     spec = ModelSpec("svm", input_dim=4, kappa=0.01)
     cfg = FederationConfig(spec=spec, K=1, eta=0.05, clip=0.5, seed=0)
-    budget = PrivacyBudget(4.0, 1e-3)
-    clients = [
-        ClientState(cid, ds.subset(idx), MomentLedger(budget, 0.5, sensitivity(0.05, 0.5, len(idx))))
-        for cid, idx in ((1, np.arange(10)), (0, np.arange(10, 100)))
-    ]
     server = ServerState(global_params=np.zeros(4), T=5)
-    with pytest.raises(ValueError, match="positions"):
-        run_round(server, clients, cfg, ds.subset(np.arange(100, 120)))
-    assert server.t == 0 and all(c.sigma_history == [] for c in clients)
-    with pytest.raises(ValueError, match="positions"):
-        run_round(server, [], cfg, ds.subset(np.arange(100, 120)))
+    with pytest.raises(ValueError, match="at least one client"):
+        run_round(server, [], cfg, ds)
+    assert server.t == 0 and server.records == []
 
 
 # --- the stacked round engine against the per-client reference ---
@@ -467,8 +457,8 @@ def spec_federation(spec, sizes=(7, 3, 12, 5, 9), K=3, epsilon=INF, seed=0):
     cfg = FederationConfig(spec=spec, K=K, eta=0.3, clip=0.5, seed=seed)
     budget = PrivacyBudget(epsilon, 1e-3)
     clients = [
-        ClientState(i, sh, MomentLedger(budget, K / len(sizes), sensitivity(0.3, 0.5, len(sh))))
-        for i, sh in enumerate(shards)
+        ClientState(sh, MomentLedger(budget, K / len(sizes), sensitivity(0.3, 0.5, len(sh))))
+        for sh in shards
     ]
     params = np.random.default_rng(seed).normal(scale=0.5, size=param_count(spec))
     return clients, cfg, ServerState(global_params=params, T=10), test
@@ -505,7 +495,7 @@ def test_stacked_rounds_equal_per_client_local_updates_bitwise(spec):
 
 def noisy_reference_round(spec, params, clients, cfg, rnd, sigmas):
     """Per selected client ``local_update`` then ``add_noise`` with its keyed
-    generator, then ``aggregate`` in client-id order."""
+    generator, then ``aggregate`` in client order."""
     total = sum(len(clients[i].shard) for i in sigmas)
     return aggregate([
         (
@@ -531,7 +521,7 @@ def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
     monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
     clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
     # the decay baseline's path: a fixed scale per class ledger, here one ledger per client
-    sigma_override = {c.ledger: 0.05 * (c.id + 1) for c in clients} if override else None
+    sigma_override = {c.ledger: 0.05 * (i + 1) for i, c in enumerate(clients)} if override else None
     want = server.global_params.copy()
     for rnd in range(3):
         rec = run_round(server, clients, cfg, test, sigma_override=sigma_override)
@@ -604,7 +594,7 @@ def test_fill_blocks_equal_per_client_forward_bitwise(spec, rows_per_part, monke
 def test_noiseless_client_beside_noisy_ones_uploads_its_local_step_exactly(monkeypatch):
     spec = SPECS[0]
     clients, cfg, server, test = spec_federation(spec, K=5, epsilon=4.0)
-    free = ClientState(1, clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
+    free = ClientState(clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
     clients[1] = free
     draws, draw = [], federation._draw_noise
 
@@ -635,7 +625,7 @@ def test_nan_sigma_override_rejected_before_any_draw_or_charge(noiseless, monkey
     start = server.global_params.copy()
     draws = []
     monkeypatch.setattr(federation, "_draw_noise", lambda rngs, block: draws.append(len(rngs)))
-    sigma_override = {c.ledger: float("nan") if c.id == 2 else 0.5 for c in clients}
+    sigma_override = {c.ledger: float("nan") if i == 2 else 0.5 for i, c in enumerate(clients)}
     with pytest.raises(ValueError, match="sigma_override"):
         run_round(server, clients, cfg, test, sigma_override=sigma_override)
     assert draws == [] and server.t == 0 and np.array_equal(server.global_params, start)
@@ -655,7 +645,7 @@ def test_sigma_override_not_keyed_by_the_noisy_ledgers_rejected_before_any_draw_
     case, monkeypatch
 ):
     clients, cfg, server, test = spec_federation(SPECS[0], K=5, epsilon=4.0)
-    clients[1] = ClientState(1, clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
+    clients[1] = ClientState(clients[1].shard, MomentLedger(PrivacyBudget(INF, 1e-3), 1.0, 1.0))
     sigma_override = {c.ledger: 0.5 for c in clients}
     if case == "missing_noisy":
         del sigma_override[clients[1].ledger], sigma_override[clients[3].ledger]
@@ -832,9 +822,9 @@ def test_byte_shards_round_as_their_float_copies_bitwise(
     runs = []
     for X in images, images / 255.0:
         clients = [
-            ClientState(i, Dataset(X[e - n : e], y[e - n : e], classes),
+            ClientState(Dataset(X[e - n : e], y[e - n : e], classes),
                         MomentLedger(budget, 0.6, sensitivity(cfg.eta, cfg.clip, n)))
-            for i, (n, e) in enumerate(zip(sizes, ends))
+            for n, e in zip(sizes, ends)
         ]
         test = Dataset(X[ends[-1] :], y[ends[-1] :], classes)
         server = ServerState(global_params=params.copy(), T=10)
@@ -857,7 +847,7 @@ def test_one_byte_row_moves_a_noiseless_step_by_at_most_dl(spec):
         X[0] = row
         server = ServerState(global_params=params.copy(), T=1)
         shard = Dataset(X, y, classes)
-        run_round(server, [ClientState(0, shard, ledger)], cfg, shard)
+        run_round(server, [ClientState(shard, ledger)], cfg, shard)
         steps.append(server.global_params)
     dl = sensitivity(cfg.eta, cfg.clip, n)
     assert np.linalg.norm(steps[0] - steps[1]) <= dl * (1 + 1e-12)

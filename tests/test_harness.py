@@ -349,10 +349,9 @@ def test_valid_config_builds_every_component(cfg):
     if cfg.validate():
         return
     cfg = cfg.resolved()
-    shards, train_eval, _ = load_experiment_data(cfg, cfg.seeds[0])
-    spec = build_model_spec(cfg, train_eval)
+    shards, _, _ = load_experiment_data(cfg, cfg.seeds[0])
     try:
-        build_simulation(cfg, cfg.seeds[0], shards, spec)
+        build_simulation(cfg, cfg.seeds[0], shards)
     except ConfigError as exc:
         assert len(exc.violations) == 1 and "1/L" in exc.violations[0]
     CrdConfig(beta=cfg.beta, zeta=cfg.zeta, T_init=cfg.T_init)
@@ -502,9 +501,9 @@ def test_eta_smoothness_guard_recorded_in_manifest(tmp_path):
 
 def test_build_simulation_applies_eta_smoothness_guard(tmp_path):
     cfg = svm_cfg(tmp_path, eta=50.0).check()
-    shards, train_eval, _ = load_experiment_data(cfg, 1)
+    shards, _, _ = load_experiment_data(cfg, 1)
     with pytest.raises(ConfigError, match="1/L"):
-        build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+        build_simulation(cfg, 1, shards)
 
 
 def test_crd_run_emits_nonincreasing_T(tmp_path):
@@ -525,9 +524,8 @@ def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
 
     cfg = cfg.check()
-    shards, train_eval, test = load_experiment_data(cfg, 1)
-    spec = build_model_spec(cfg, train_eval)
-    server, clients, fcfg = build_simulation(cfg, 1, shards, spec)
+    shards, _, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
     result = run_simulation(cfg, server, clients, fcfg, test)
     assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
     cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
@@ -540,7 +538,7 @@ def test_clients_of_one_shard_size_share_one_ledger(tmp_path):
         tmp_path, partition_mode="unbalanced", shard_size=None, size_pattern=sizes, U=50, K=10
     ).check()
     shards, train_eval, test = load_experiment_data(cfg, 1)
-    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
     ledgers = {len(c.shard): c.ledger for c in clients}
     assert sorted(ledgers) == list(sizes) and len({id(c.ledger) for c in clients}) == 5
     for c in clients:
@@ -560,7 +558,7 @@ def _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=False):
         K=4, scheduler=scheduler, zeta=0.05, T_init=20, seeds=(1,),
     ).check()
     shards, train_eval, test = load_experiment_data(cfg, 1)
-    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
     if one_ledger_per_client:
         for c in clients:
             c.ledger = MomentLedger(c.ledger.budget, c.ledger.q, c.ledger.dl)
@@ -857,7 +855,7 @@ def test_shards_are_views_equal_to_per_shard_gathers(tmp_path, fresh_pool, over)
     full = synth_linear(n_train + cfg.synth_n_test, cfg.synth_dim, cfg.synth_margin, cfg.data_seed)
     train = full.subset(np.arange(n_train))
     plan = PartitionPlan(cfg.partition_mode, cfg.shard_size, size_pattern=cfg.size_pattern)
-    idx = partition(train, plan, cfg.U, np.random.SeedSequence((3, harness._TAG_PARTITION)))
+    idx = partition(train, plan, cfg.U, np.random.SeedSequence((3, 11)))
     assert len(shards) == len(idx) == cfg.U
     for shard, rows in zip(shards, idx):
         want = train.subset(rows)
@@ -876,6 +874,61 @@ def logistic_mnist_cfg(tmp_path, directory, **over):
         tmp_path, model_kind="logistic", data_source="mnist", mnist_dir=str(directory),
         shard_size=None, **over,
     ).check()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+def test_every_random_stream_draws_as_its_literal_key(tmp_path, fresh_pool, seed):
+    """The init (s, 0), partition (s, 11), selection (s, 1, round) and noise
+    (s, 2, client, round) streams draw as ``default_rng(SeedSequence(key))``; a bulk
+    seeding of them must keep these draws.
+
+    SeedSequence pads a short key with zero words, so (7, 0) draws exactly as
+    ``default_rng(7)``: the synthetic pool's stream when ``data_seed`` equals the
+    training seed.  That is harmless while synthetic data is SVM-only and SVM
+    initial parameters are zero."""
+
+    def literal(*key):
+        return np.random.default_rng(np.random.SeedSequence(key))
+
+    X = np.random.default_rng(1).normal(size=(12, 3))
+    hand = [Dataset(X[a : a + 4], np.arange(4) % 3, 3) for a in (0, 4, 8)]
+    mlp = ExperimentConfig(model_kind="mlp", hidden_dim=4, U=3, K=2).resolved()
+    server, _, fcfg = build_simulation(mlp, seed, hand)
+    assert server.global_params.tobytes() == init_params(fcfg.spec, literal(seed, 0)).tobytes()
+
+    cfg = svm_cfg(tmp_path).check()
+    shards, _, _ = load_experiment_data(cfg, seed)
+    pool, _ = harness._data_pool(cfg)
+    want = partition(pool, harness._plan(cfg), cfg.U, literal(seed, 11))
+    assert [s.features.tobytes() for s in shards] == [pool.features[i].tobytes() for i in want]
+
+    server, clients, fcfg = build_simulation(cfg, seed, shards)
+    for rnd in range(2):
+        record = federation.run_round(server, clients, fcfg, shards[0])
+        want = federation.sample_clients(cfg.U, cfg.K, literal(seed, 1, rnd))
+        assert record.selected == want
+        for client in (0, 4):
+            got = federation._noise_rng(seed, client, rnd).standard_normal(5)
+            assert got.tobytes() == literal(seed, 2, client, rnd).standard_normal(5).tobytes()
+    assert literal(7, 0).random(5).tobytes() == np.random.default_rng(7).random(5).tobytes()
+
+
+def test_build_simulation_derives_the_model_from_the_shards(tmp_path, fresh_pool, mnist_like):
+    path = tmp_path / "train.csv"
+    write_labelled_csv(path, 60)
+    mnist = logistic_mnist_cfg(tmp_path, mnist_like, eta=1e-4)
+    for cfg in (
+        svm_cfg(tmp_path).check(),
+        svm_cfg(tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10,
+                eta=1e-5).check(),
+        mnist,
+        dataclasses.replace(mnist, model_kind="mlp", hidden_dim=7),
+    ):
+        shards, train_eval, _ = load_experiment_data(cfg, 1)
+        _, _, fcfg = build_simulation(cfg, 1, shards)
+        assert fcfg.spec == build_model_spec(cfg, train_eval)
+        with pytest.raises(ValueError, match="at least one shard"):
+            build_simulation(cfg, 1, [])
 
 
 def test_mnist_pool_keeps_its_training_images_as_bytes(tmp_path, fresh_pool, mnist_like):
@@ -935,9 +988,9 @@ def per_shard_message(cfg, shards):
     return f"eta={cfg.eta} exceeds 1/L={1.0 / L:.6g} estimated from the data"
 
 
-def guard_message(cfg, shards, spec):
+def guard_message(cfg, shards):
     with pytest.raises(ConfigError) as exc:
-        build_simulation(cfg, 1, shards, spec)
+        build_simulation(cfg, 1, shards)
     (message,) = exc.value.violations
     return message
 
@@ -952,9 +1005,8 @@ def test_covering_partition_computes_the_gram_once_per_pool(
 ):
     cfg = svm_cfg(tmp_path, eta=50.0, **over).check()
     for seed in (1, 2, 3):
-        shards, train_eval, _ = load_experiment_data(cfg, seed)
-        spec = build_model_spec(cfg, train_eval)
-        assert guard_message(cfg, shards, spec) == per_shard_message(cfg, shards)
+        shards, _, _ = load_experiment_data(cfg, seed)
+        assert guard_message(cfg, shards) == per_shard_message(cfg, shards)
     pool, _ = harness._data_pool(cfg)
     assert gram_calls == [len(pool)]  # the first seed's, over the pool; none after
 
@@ -962,7 +1014,6 @@ def test_covering_partition_computes_the_gram_once_per_pool(
 def test_hand_built_shards_compute_their_own_gram(tmp_path, fresh_pool, gram_calls):
     cfg = svm_cfg(tmp_path, eta=50.0).check()
     shards, train_eval, _ = load_experiment_data(cfg, 1)
-    spec = build_model_spec(cfg, train_eval)
     pool, _ = harness._data_pool(cfg)
     n, size = len(pool), cfg.shard_size
 
@@ -980,9 +1031,9 @@ def test_hand_built_shards_compute_their_own_gram(tmp_path, fresh_pool, gram_cal
     }
     for name, hand in variants.items():
         before = len(gram_calls)
-        assert guard_message(cfg, hand, spec) == per_shard_message(cfg, hand), name
+        assert guard_message(cfg, hand) == per_shard_message(cfg, hand), name
         assert gram_calls[before:] == [sum(map(len, hand))], name
-    guard_message(cfg, shards, spec)
+    guard_message(cfg, shards)
     assert gram_calls[len(variants):] == [n]  # the pool's, for the partition itself
 
 
@@ -997,11 +1048,10 @@ def test_eta_guard_reads_a_byte_pools_rows_as_floats(tmp_path, fresh_pool, mnist
         pool, _ = harness._data_pool(cfg)
         # the shards stack as their gather, which covers the pool: the guard reads the pool's L
         assert stack(shards) is train_eval and train_eval.memo(data._POOL, None) is pool
-        spec = build_model_spec(cfg, train_eval)
         if verdict is None:
-            build_simulation(cfg, 1, shards, spec)
+            build_simulation(cfg, 1, shards)
         else:
-            message = guard_message(cfg, shards, spec)
+            message = guard_message(cfg, shards)
             assert message == f"eta={eta} {verdict} estimated from the data"
     assert pool.memo("gram_top", None) == gram_top
 
@@ -1018,15 +1068,14 @@ def test_csv_partition_shares_the_pools_gram_only_if_it_covers_it(
         tmp_path, data_source="csv", csv_train=str(path), U=4, shard_size=10, eta=50.0
     ).check()
     for seed in (1, 2):
-        shards, train_eval, _ = load_experiment_data(cfg, seed)
-        spec = build_model_spec(cfg, train_eval)
-        assert guard_message(cfg, shards, spec) == per_shard_message(cfg, shards)
+        shards, _, _ = load_experiment_data(cfg, seed)
+        assert guard_message(cfg, shards) == per_shard_message(cfg, shards)
     assert gram_calls == ([40, 40] if per_seed else [40])
 
 
 def stacked(spec, shards):
     ledger = MomentLedger(PrivacyBudget(math.inf, 1e-3), 1.0, 1.0)
-    clients = [federation.ClientState(i, s, ledger) for i, s in enumerate(shards)]
+    clients = [federation.ClientState(s, ledger) for s in shards]
     return federation._Stacked(spec, init_params(spec, np.random.default_rng(0)), clients)
 
 

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_within_inverse_variance_budget
-from test_federation import make_federation
+from test_federation import make_federation, noisy_reference_round
 from udpfl import ConfigError
-from udpfl.accountant import sensitivity
-from udpfl.federation import TrainingResult, run_training
+from udpfl.accountant import MomentLedger, PrivacyBudget, sensitivity
+from udpfl.data import synth_linear
+from udpfl.federation import (
+    ClientState, FederationConfig, ServerState, TrainingResult, run_training,
+)
+from udpfl.models import ModelSpec
 from udpfl.scheduler import (
     CrdConfig,
     CrdScheduler,
@@ -166,3 +170,40 @@ def test_decay_records_and_inverse_variance_margin():
 def test_decay_validates_slope():
     with pytest.raises(ValueError, match="slope"):
         run_decay(-0.5)
+
+
+def decay_over_three_shards(epsilons):
+    """The decay baseline over three 50-row SVM shards, K = 2 and T = 10; the clients
+    of one epsilon share a class ledger."""
+    ds = synth_linear(200, 5, 1.0, seed=4)
+    cfg = FederationConfig(spec=ModelSpec("svm", input_dim=5, kappa=0.01), K=2, eta=0.05,
+                           clip=0.5, seed=0)
+    ledgers = {eps: MomentLedger(PrivacyBudget(eps, 1e-3), 2 / 3, sensitivity(0.05, 0.5, 50))
+               for eps in set(epsilons)}
+    clients = [ClientState(ds.subset(np.arange(50 * i, 50 * i + 50)), ledgers[eps])
+               for i, eps in enumerate(epsilons)]
+    server = ServerState(global_params=np.zeros(5), T=10)
+    return linear_decay_baseline(server, clients, cfg, ds.subset(np.arange(150, 200))), clients, cfg
+
+
+def test_decay_with_a_noiseless_class_stops_as_the_all_noisy_run():
+    inf = math.inf
+    want, noisy_clients, _ = decay_over_three_shards([4.0, 4.0, 4.0])
+    got, clients, cfg = decay_over_three_shards([4.0, inf, 4.0])
+    assert (got.stop_reason, got.realized_T) == (want.stop_reason, want.realized_T)
+    assert got.stop_reason == "accountant_halt" and 0 < got.realized_T < 10
+    assert clients[0].sigma_history == noisy_clients[0].sigma_history
+    assert clients[1].sigma_history == []
+    # the noiseless client's uploads are its exact local steps (add_noise at sigma 0)
+    assert any(1 in r.selected for r in got.records)
+    params = np.zeros(5)
+    for r in got.records:
+        assert r.sigma_by_client.get(1, 0.0) == 0.0
+        params = noisy_reference_round(cfg.spec, params, clients, cfg, r.round, r.sigma_by_client)
+    assert np.array_equal(got.params, params)
+
+
+def test_decay_with_no_noisy_class_runs_to_T():
+    result, clients, _ = decay_over_three_shards([math.inf] * 3)
+    assert (result.stop_reason, result.realized_T) == ("completed", 10)
+    assert all(c.sigma_history == [] for c in clients)

@@ -17,7 +17,6 @@ import pytest
 from udpfl import federation, harness
 from udpfl.harness import (
     ExperimentConfig,
-    build_model_spec,
     build_simulation,
     load_experiment_data,
     run_experiment,
@@ -103,8 +102,8 @@ def test_ledger_audit_sees_every_charged_round(scheduler):
         partition_mode="unbalanced", size_pattern=(10, 20, 30), U=6, K=4, T_init=15,
         epsilon_p=6.0, delta_p=1e-3, clip_C=0.5, zeta=0.01, scheduler=scheduler,
     ).resolved()
-    shards, train_eval, test = load_experiment_data(cfg, 1)
-    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    shards, _, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
 
     # the capture RunLog.replacements makes when a training loop is entered
     run = checks.Run(scheduler, 1, Path("rounds.csv"))
@@ -140,8 +139,8 @@ def test_traced_sites_run_only_on_the_main_thread(scheduler, monkeypatch):
         partition_mode="unbalanced", size_pattern=(10, 20, 30), U=6, K=4, T_init=6,
         epsilon_p=6.0, delta_p=1e-3, clip_C=0.5, zeta=0.01, scheduler=scheduler,
     ).resolved()
-    shards, train_eval, test = load_experiment_data(cfg, 1)
-    server, clients, fcfg = build_simulation(cfg, 1, shards, build_model_spec(cfg, train_eval))
+    shards, _, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
     assert run_simulation(cfg, server, clients, fcfg, test).realized_T > 0
     off_main = sorted({name for name, on_main in threads if not on_main})
     # the helper ran (where the process may use two CPUs), and only the unwrapped seam
