@@ -50,8 +50,8 @@ def final_loss(env, eps, T, seed):
     shards, test = env
     cfg = dataclasses.replace(CFG, epsilon_p=eps, T_init=T)
     server, clients, fcfg = build_simulation(cfg, seed, shards)
-    res = run_training(server, clients, fcfg, test)
-    return res.records[-1].test_loss
+    run_training(server, clients, fcfg, test)
+    return server.records[-1].test_loss
 
 
 envs = {s: make_env(s) for s in SEEDS}

@@ -58,29 +58,29 @@ def run(scheduler):
     run_cfg = dataclasses.replace(cfg, scheduler=scheduler)
     server, clients, fcfg = build_simulation(run_cfg, SEED, shards)
     t0 = time.time()
-    res = run_simulation(run_cfg, server, clients, fcfg, test)
-    return res, time.time() - t0
+    run_simulation(run_cfg, server, clients, fcfg, test)
+    return server, time.time() - t0
 
 
 print(f"MNIST MLP 784->{HIDDEN}->10, U={U} K={K}, eps={args.epsilon}, T_init={T_INIT}")
 
-res, dt = run("crd")
-print(f"\n[discounted] finished after {res.realized_T} rounds ({dt:.0f}s)")
+server, dt = run("crd")
+print(f"\n[discounted] finished after {server.t} rounds ({dt:.0f}s)")
 print("budget staircase (trigger round: discounted T):")
 stairs = [
-    (r.round, res.records[i + 1].T_at_start if i + 1 < len(res.records) else res.realized_T)
-    for i, r in enumerate(res.records)
+    (r.round, server.records[i + 1].T_at_start if i + 1 < server.t else server.t)
+    for i, r in enumerate(server.records)
     if r.trigger_fired
 ]
 line = "  " + "  ".join(f"{rd}:{T}" for rd, T in stairs[:12])
 print(line + ("  ..." if len(stairs) > 12 else ""))
-sig = sorted(res.records[0].sigma_by_client.values())[0]
-sig_end = sorted(res.records[-1].sigma_by_client.values())[0]
+sig = sorted(server.records[0].sigma_by_client.values())[0]
+sig_end = sorted(server.records[-1].sigma_by_client.values())[0]
 print(f"per-round sigma: {sig:.4e} at start -> {sig_end:.4e} at the end")
-crd_loss, crd_acc = res.records[-1].test_loss, res.records[-1].test_accuracy
+crd_loss, crd_acc = server.records[-1].test_loss, server.records[-1].test_accuracy
 
-res, dt = run("fixed")
-print(f"\n[fixed T={T_INIT}] ran all {res.realized_T} rounds ({dt:.0f}s)")
+server, dt = run("fixed")
+print(f"\n[fixed T={T_INIT}] ran all {server.t} rounds ({dt:.0f}s)")
 print(f"\nfinal test loss / accuracy:")
 print(f"  discounted  {crd_loss:.4f} / {crd_acc:.4f}")
-print(f"  fixed       {res.records[-1].test_loss:.4f} / {res.records[-1].test_accuracy:.4f}")
+print(f"  fixed       {server.records[-1].test_loss:.4f} / {server.records[-1].test_accuracy:.4f}")

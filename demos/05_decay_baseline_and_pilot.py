@@ -47,10 +47,10 @@ shards, _, test = load_experiment_data(cfg, 1)
 cfg = dataclasses.replace(cfg, clip_C=C)
 server, clients, fcfg = build_simulation(cfg, 1, shards)
 
-result = run_simulation(cfg, server, clients, fcfg, test)
+stop = run_simulation(cfg, server, clients, fcfg, test)
 print(
-    f"\ndecay baseline: sigma_start={result.records[0].sigma_by_client[0]:.4e}, "
-    f"nominal horizon 80, ran {result.realized_T} rounds, halt reason: {result.stop_reason}"
+    f"\ndecay baseline: sigma_start={server.records[0].sigma_by_client[0]:.4e}, "
+    f"nominal horizon 80, ran {server.t} rounds, halt reason: {stop}"
 )
 
 # the client's ledger holds its budget, q = K/U, its sensitivity and every sigma charged

@@ -19,6 +19,7 @@ import sys
 from .accountant import calibration_table, moment_table, sensitivity, verify_accountant
 from .data import fetch_mnist
 from .harness import (
+    SCHEDULERS,
     SWEEP_AXES,
     ExperimentConfig,
     _atomic_write_text,
@@ -68,7 +69,7 @@ def _config_with_overrides(args) -> ExperimentConfig:
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     # each option's dest is the config field it overrides
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--scheduler", choices=("fixed", "crd", "decay"))
+    p.add_argument("--scheduler", choices=SCHEDULERS)
     p.add_argument("--beta", type=float)
     p.add_argument("--zeta", type=float)
     p.add_argument("--t-init", dest="T_init", type=int)
@@ -190,10 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one config axis")
     _add_run_options(p)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument(
-        "--values", "--t-grid", dest="values", required=True,
-        help="comma-separated axis values",
-    )
+    p.add_argument("--values", required=True, help="comma-separated axis values")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser(

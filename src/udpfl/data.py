@@ -186,10 +186,9 @@ def stack(shards) -> Dataset:
     return rows
 
 
-def gram_top(shards) -> float:
-    """The top eigenvalue of ``stack(shards)``'s row Gram over its row count, kept in
-    its memo; a ``cut`` covering its pool reads the pool's, in pool row order."""
-    rows = stack(shards)
+def gram_top(rows: Dataset) -> float:
+    """The top eigenvalue of a ``stack``'s row Gram over its row count, kept in its
+    memo; a ``cut`` covering its pool reads the pool's, in pool row order."""
     return (rows._memo.get(_POOL) or rows).memo("gram_top", _gram_top)
 
 

@@ -7,6 +7,8 @@ closed-form calibration while T is unchanged); every selected client takes
 one full-batch clipped step from the global parameters and adds Gaussian
 noise; the server aggregates the uploads by weight and evaluates the new
 model on the clients' rows (loss) and on the test set (loss and accuracy).
+A run is its ``ServerState``: parameters, round budget T and one ``RoundRecord``
+per round run, whose count is t; the training loops return only why they stopped.
 
 Client i is ``clients[i]``.  Per run, the server stacks the clients' rows in
 that order with ``data.stack``, which reads every shard as float64 (a ``cut``'s
@@ -101,13 +103,17 @@ class ClientState:
 class ServerState:
     global_params: np.ndarray
     T: int
-    t: int = 0
     records: list = field(default_factory=list)
     _stacked: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.t <= self.T):
             raise ValueError(f"need 0 <= t <= T, got t={self.t}, T={self.T}")
+
+    @property
+    def t(self) -> int:
+        """Rounds run so far: the record count."""
+        return len(self.records)
 
 
 @dataclass
@@ -143,14 +149,6 @@ class FederationConfig:
             v.append(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
         if v:
             raise ConfigError(v)
-
-
-@dataclass
-class TrainingResult:
-    params: np.ndarray
-    records: list
-    realized_T: int
-    stop_reason: str  # "completed" | "budget_exhausted" | "accountant_halt" | "sigma_floor"
 
 
 def sample_clients(U: int, K: int, rng: np.random.Generator) -> tuple:
@@ -415,7 +413,6 @@ def run_round(
     for ledger, sigma in charges.items():
         ledger.charge(sigma)
     server.global_params = new_params
-    server.t = rnd + 1
     server.records.append(record)
     return record
 
@@ -426,20 +423,19 @@ def run_training(
     cfg: FederationConfig,
     test_eval,
     on_round=None,
-) -> TrainingResult:
-    """Run rounds until t reaches T (which ``on_round`` may shrink).
+) -> str:
+    """Run rounds until t reaches T (which ``on_round`` may shrink); returns why it
+    stopped, ``"completed"`` or ``"budget_exhausted"``.  The run is ``server``'s.
 
     ``on_round(server, record)`` is called after each round; it may lower
     ``server.T`` (never below ``server.t``) and may set
     ``record.trigger_fired``.
     """
-    reason = "completed"
     while server.t < server.T:
         try:
             record = run_round(server, clients, cfg, test_eval)
         except BudgetExhausted:
-            reason = "budget_exhausted"
-            break
+            return "budget_exhausted"
         if on_round is not None:
             old_T = server.T
             on_round(server, record)
@@ -447,9 +443,4 @@ def run_training(
                 raise RuntimeError(
                     f"scheduler moved T illegally: {old_T} -> {server.T} at t={server.t}"
                 )
-    return TrainingResult(
-        params=server.global_params,
-        records=server.records,
-        realized_T=server.t,
-        stop_reason=reason,
-    )
+    return "completed"

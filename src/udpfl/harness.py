@@ -1,11 +1,12 @@
 """Experiment harness: configs, data pool, runners, sweeps and the clip-norm pilot.
 
 A single JSON config drives everything: with a seed and that seed's shards, it
-wires a whole run (``build_simulation``).  Parameter names follow the ASCII
-forms used throughout the package: ``epsilon_p``/``delta_p`` for the
-per-client privacy budget, ``beta``/``zeta`` for the round-discounting
-scheduler, ``eta`` for the local learning rate, ``clip_C`` for the
-gradient clipping threshold, ``T_init``/``U``/``K`` for the round and
+wires a whole run (``build_simulation``), which ``run_simulation`` trains under one
+of ``SCHEDULERS``; the run is the server it trains, and it returns why it stopped.
+Parameter names follow the ASCII forms used throughout the package:
+``epsilon_p``/``delta_p`` for the per-client privacy budget, ``beta``/``zeta`` for
+the round-discounting scheduler, ``eta`` for the local learning rate, ``clip_C``
+for the gradient clipping threshold, ``T_init``/``U``/``K`` for the round and
 population sizes.
 
 Every run emits, per seed, a ``rounds.csv`` with the fixed column order
@@ -52,7 +53,6 @@ from .federation import (
     ClientState,
     FederationConfig,
     ServerState,
-    TrainingResult,
     _stream,
     evaluate,
     run_round,
@@ -72,6 +72,7 @@ ROUNDS_COLUMNS = (
     "selected_clients",
     "trigger_fired",
 )
+SCHEDULERS = ("fixed", "crd", "decay")
 
 
 # the component fields whose names differ from the config keys that set them
@@ -116,7 +117,7 @@ class ExperimentConfig:
     clip_C: float = 1.0
     weight_mode: str = "by_size"
     # scheduler
-    scheduler: str = "fixed"  # fixed | crd | decay
+    scheduler: str = "fixed"  # one of SCHEDULERS
     beta: float = 0.9
     zeta: float = 0.001
     slope_fraction: float = 1.0
@@ -210,8 +211,8 @@ class ExperimentConfig:
             v.append(f"U must be an int >= 1, got {cfg.U}")
         if cfg.K > cfg.U:
             v.append(f"need K <= U, got K={cfg.K}, U={cfg.U}")
-        if cfg.scheduler not in ("fixed", "crd", "decay"):
-            v.append(f"scheduler must be fixed|crd|decay, got {cfg.scheduler!r}")
+        if cfg.scheduler not in SCHEDULERS:
+            v.append(f"scheduler must be {'|'.join(SCHEDULERS)}, got {cfg.scheduler!r}")
         if cfg.scheduler == "decay" and math.isinf(cfg.epsilon_p):
             # the decay schedule starts at the calibrated sigma, which is 0 here
             v.append("scheduler decay needs a finite epsilon_p")
@@ -231,12 +232,11 @@ class ExperimentConfig:
         if not cfg.workers >= 1:
             v.append(f"workers must be an int >= 1, got {cfg.workers}")
         # round-0 noise calibration must be well-posed for every class before any data loads
-        sizes = set(_plan(cfg).sizes(cfg.U)) if not v and math.isfinite(cfg.epsilon_p) else {None}
+        sizes = _plan(cfg).sizes(cfg.U) if not v and math.isfinite(cfg.epsilon_p) else [None]
         if None not in sizes:
-            budget = PrivacyBudget(cfg.epsilon_p, cfg.delta_p)
-            try:
-                s0 = [calibrate_sigma(budget, cfg.K / cfg.U, cfg.T_init,
-                                      sensitivity(cfg.eta, cfg.clip_C, n)) for n in sorted(sizes)]
+            try:  # the decay baseline's sigma_start
+                s0 = [calibrate_sigma(led.budget, led.q, cfg.T_init, led.dl)
+                      for led in _class_ledgers(cfg, sizes).values()]
                 v.extend(f"round-0 calibrated sigma not positive/finite: {s}"
                          for s in s0 if not (s > 0 and math.isfinite(s)))
             except (ValueError, ArithmeticError) as exc:
@@ -274,6 +274,15 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _class_ledgers(cfg: ExperimentConfig, sizes) -> dict:
+    """``{shard size: its class's MomentLedger}`` in size order, for clients of the given
+    shard sizes: the budget ``(epsilon_p, delta_p)``, ``q = K / len(sizes)`` and the
+    size's sensitivity."""
+    budget, q = PrivacyBudget(cfg.epsilon_p, cfg.delta_p), cfg.K / len(sizes)
+    return {n: MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, n))
+            for n in sorted(set(sizes))}
 
 
 def _plan(cfg: ExperimentConfig) -> PartitionPlan:
@@ -346,13 +355,13 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
     )
 
 
-def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, shards):
+def _check_eta_against_smoothness(cfg: ExperimentConfig, spec: ModelSpec, rows: Dataset):
     # the convergence theory needs eta <= 1/L; only the convex models have a cheaply
     # estimable L: the top Gram eigenvalue (``data.gram_top``) + ridge for svm, and for
     # logistic the bias-augmented one times 1/2, the softmax curvature bound
     if spec.kind == "mlp" or spec.input_dim > 2000:
         return
-    top = gram_top(shards)
+    top = gram_top(rows)
     L = top + cfg.kappa if spec.kind == "svm" else 0.5 * (top + 1.0)
     if cfg.eta > 1.0 / L:
         raise ConfigError(
@@ -392,21 +401,20 @@ def rounds_csv_text(seed: int, records) -> str:
 def build_simulation(cfg: ExperimentConfig, seed: int, shards):
     """Wire one run of a resolved config over already-loaded client shards.
 
-    Returns ``(server, clients, federation config)``: the model is ``build_model_spec``
-    of the shards' ``stack``, client i holds ``shards[i]``, the clients of one shard
-    size (a class) share a ``MomentLedger`` with the budget ``(epsilon_p, delta_p)``,
-    ``q = K/U`` and that size's sensitivity, and the server starts at round budget
-    ``T_init`` from parameters drawn from the seed's initialization stream.  Raises
-    ``ValueError`` without shards, ``ConfigError`` if a convex model's ``eta``
-    exceeds 1/L of the shards.
+    Returns ``(server, clients, federation config)``: the shards are stacked once, and
+    the model (``build_model_spec``) and the eta guard's L both come from that stack;
+    client i holds ``shards[i]``, the clients of one shard size (a class) share its
+    ``_class_ledgers`` ledger, and the server starts at round budget ``T_init`` from
+    parameters drawn from the seed's initialization stream.  Raises ``ValueError``
+    without shards, ``ConfigError`` if a convex model's ``eta`` exceeds 1/L of the
+    shards.
     """
     if not shards:
         raise ValueError("build_simulation needs at least one shard")
-    spec = build_model_spec(cfg, stack(shards))
-    _check_eta_against_smoothness(cfg, spec, shards)
-    budget, q = PrivacyBudget(cfg.epsilon_p, cfg.delta_p), cfg.K / len(shards)
-    ledgers = {n: MomentLedger(budget, q, sensitivity(cfg.eta, cfg.clip_C, n))
-               for n in {len(shard) for shard in shards}}
+    rows = stack(shards)
+    spec = build_model_spec(cfg, rows)
+    _check_eta_against_smoothness(cfg, spec, rows)
+    ledgers = _class_ledgers(cfg, [len(shard) for shard in shards])
     clients = [ClientState(shard, ledgers[len(shard)]) for shard in shards]
     fcfg = FederationConfig(
         spec=spec, K=cfg.K, eta=cfg.eta, clip=cfg.clip_C, seed=seed,
@@ -418,15 +426,19 @@ def build_simulation(cfg: ExperimentConfig, seed: int, shards):
 
 def run_simulation(
     cfg: ExperimentConfig, server, clients, fcfg: FederationConfig, test_eval
-) -> TrainingResult:
-    """Train a wired simulation under the config's ``scheduler``.
+) -> str:
+    """Train a wired simulation under the config's ``scheduler``; returns why it
+    stopped.  The run is ``server``'s: its records, parameters and round count.
 
     ``fixed`` runs to the round budget.  ``crd`` discounts the budget by
     ``beta`` whenever the test loss improves by less than ``zeta``, starting
     from the initial model's test loss.  ``decay`` shrinks the noise linearly
     (``slope_fraction``) until the moment accountant halts the run.  Every
     round's train loss is over the clients' shards; ``test_eval`` is the test set.
+    Any other name raises ``ValueError`` before anything runs.
     """
+    if cfg.scheduler not in SCHEDULERS:
+        raise ValueError(f"scheduler must be {'|'.join(SCHEDULERS)}, got {cfg.scheduler!r}")
     if cfg.scheduler == "decay":
         return linear_decay_baseline(
             server, clients, fcfg, test_eval, slope_fraction=cfg.slope_fraction
@@ -444,8 +456,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, outdir) -> dict:
     outdir = Path(outdir)
     shards, train_eval, test_eval = load_experiment_data(cfg, seed)
     server, clients, fcfg = build_simulation(cfg, seed, shards)
-    result = run_simulation(cfg, server, clients, fcfg, test_eval)
-    records, stop = result.records, result.stop_reason
+    stop = run_simulation(cfg, server, clients, fcfg, test_eval)
+    records = server.records
 
     if not records:
         raise RuntimeError(f"seed {seed}: run produced no rounds ({stop})")

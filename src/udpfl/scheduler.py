@@ -1,4 +1,4 @@
-"""Round-budget policies.
+"""Round-budget policies; each trains a ``ServerState`` and returns why it stopped.
 
 * fixed-T: just run the federation loop to its round budget
   (``udpfl sweep --axis T`` compares a grid of such budgets);
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from . import ConfigError, _is_int
 from .accountant import calibrate_sigma
 # evaluate has no caller here; perfbench/layers.py wraps scheduler.evaluate by name
-from .federation import (
-    FederationConfig, ServerState, TrainingResult, _noisy_ledgers, evaluate, run_round,
-)
+from .federation import FederationConfig, ServerState, _noisy_ledgers, evaluate, run_round
 
 # floor() guard so values like 0.9*150 = 134.99999999999997 floor to 135
 _FLOOR_EPS = 1e-9
@@ -97,8 +95,9 @@ def linear_decay_baseline(
     cfg: FederationConfig,
     test_eval,
     slope_fraction: float = 1.0,
-) -> TrainingResult:
-    """Linearly shrinking noise, halted by the cumulative moment accountant.
+) -> str:
+    """Linearly shrinking noise, halted by the cumulative moment accountant; returns
+    why it stopped: ``"completed"``, ``"sigma_floor"`` or ``"accountant_halt"``.
 
     Round r uses ``sigma_start - slope*r`` per noisy client class (ledger),
     with ``slope = slope_fraction * sigma_start / T``; ``slope_fraction=0``
@@ -115,14 +114,11 @@ def linear_decay_baseline(
                    for led in _noisy_ledgers(clients)}
     slopes = {led: slope_fraction * s / server.T for led, s in sigma_start.items()}
 
-    halt = "completed"
     while server.t < server.T:
         sig = {led: sigma_start[led] - slopes[led] * server.t for led in sigma_start}
         if any(s <= 0.0 for s in sig.values()):
-            halt = "sigma_floor"
-            break
+            return "sigma_floor"
         if any(not led.within(extra_sigma=s) for led, s in sig.items()):
-            halt = "accountant_halt"
-            break
+            return "accountant_halt"
         run_round(server, clients, cfg, test_eval, sig)
-    return TrainingResult(server.global_params, server.records, server.t, halt)
+    return "completed"

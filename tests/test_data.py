@@ -424,5 +424,5 @@ def test_a_cut_shares_its_pools_gram_only_if_it_holds_every_pool_row(shard_idx, 
     gather, shards = cut(pool, shard_idx)
     assert stack(shards) is gather
     x = (pool if covers else gather).float_rows()
-    assert gram_top(shards) == float(np.linalg.eigvalsh(x.T @ x / len(x)).max())
+    assert gram_top(stack(shards)) == float(np.linalg.eigvalsh(x.T @ x / len(x)).max())
     assert ("gram_top" in pool._memo) is covers and ("gram_top" in gather._memo) is not covers

@@ -31,7 +31,6 @@ from udpfl.federation import (
     FederationConfig,
     RoundRecord,
     ServerState,
-    TrainingResult,
     add_noise,
     aggregate,
     evaluate,
@@ -215,25 +214,25 @@ def test_noiseless_full_participation_equals_centralized_oracle():
     spec, clients, cfg, server, train_eval, test = make_federation(
         n_clients=5, per_client=10, T=25
     )
-    result = run_training(server, clients, cfg, test)
+    stop = run_training(server, clients, cfg, test)
     oracle = centralized_clipped_gd(
         spec, np.zeros(param_count(spec)), [c.shard for c in clients],
         cfg.eta, cfg.clip, 25,
     )
-    assert result.stop_reason == "completed"
-    assert np.abs(result.params - oracle).max() < 1e-10
+    assert stop == "completed"
+    assert np.abs(server.global_params - oracle).max() < 1e-10
 
 
 def test_noiseless_unequal_shards_match_size_weighted_oracle():
     spec, clients, cfg, server, train_eval, test = make_federation(
         sizes=[4, 8, 12, 16], n_clients=4, T=15
     )
-    result = run_training(server, clients, cfg, test)
+    run_training(server, clients, cfg, test)
     oracle = centralized_clipped_gd(
         spec, np.zeros(param_count(spec)), [c.shard for c in clients],
         cfg.eta, cfg.clip, 15,
     )
-    assert np.abs(result.params - oracle).max() < 1e-10
+    assert np.abs(server.global_params - oracle).max() < 1e-10
 
 
 def test_run_round_appends_complete_record():
@@ -297,7 +296,7 @@ def test_sigma_constant_while_T_fixed_and_matches_closed_form():
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=4.0, K=3, T=8
     )
-    result = run_training(server, clients, cfg, test)
+    run_training(server, clients, cfg, test)
     q = 3 / 5
     dl = sensitivity(cfg.eta, cfg.clip, 10)
     expected = calibrate_sigma(clients[0].budget, q, 8, dl)
@@ -305,7 +304,7 @@ def test_sigma_constant_while_T_fixed_and_matches_closed_form():
         assert len(c.sigma_history) == 8
         for s in c.sigma_history:
             assert abs(s - expected) / expected < 1e-9
-    assert result.realized_T == 8
+    assert server.t == 8 == len(server.records)
 
 
 def test_ledger_soundness_after_noisy_run():
@@ -324,10 +323,11 @@ def test_deterministic_replay_bitwise():
         spec, clients, cfg, server, train_eval, test = make_federation(
             epsilon=4.0, K=3, T=10, seed=42
         )
-        return run_training(server, clients, cfg, test)
+        run_training(server, clients, cfg, test)
+        return server
 
     a, b = one_run(), one_run()
-    assert np.array_equal(a.params, b.params)
+    assert np.array_equal(a.global_params, b.global_params)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
@@ -349,9 +349,8 @@ def test_budget_exhausted_leaves_state_intact():
     assert len(clients[0].sigma_history) == 5  # no new charges
 
     # run_training converts the failure into a clean stop
-    result = run_training(server, clients, cfg, test)
-    assert result.stop_reason == "budget_exhausted"
-    assert result.realized_T == 0
+    assert run_training(server, clients, cfg, test) == "budget_exhausted"
+    assert server.t == 0
 
 
 def test_nonpositive_sigma_override_rejected_before_any_charge():
@@ -377,10 +376,10 @@ def test_on_round_may_shrink_T_but_not_grow_it():
             server_.T = 8
             record.trigger_fired = True
 
-    result = run_training(server, clients, cfg, test, on_round=shrink)
-    assert result.realized_T == 8
-    assert [r.trigger_fired for r in result.records].count(True) == 1
-    assert [r.T_at_start for r in result.records] == [30] * 5 + [8] * 3
+    run_training(server, clients, cfg, test, on_round=shrink)
+    assert server.t == 8
+    assert [r.trigger_fired for r in server.records].count(True) == 1
+    assert [r.T_at_start for r in server.records] == [30] * 5 + [8] * 3
 
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=4.0, K=3, T=6

@@ -526,10 +526,27 @@ def test_build_simulation_reproduces_cli_run(tmp_path, scheduler):
     cfg = cfg.check()
     shards, _, test = load_experiment_data(cfg, 1)
     server, clients, fcfg = build_simulation(cfg, 1, shards)
-    result = run_simulation(cfg, server, clients, fcfg, test)
-    assert any(r.trigger_fired for r in result.records) == (scheduler == "crd")
+    run_simulation(cfg, server, clients, fcfg, test)
+    assert server.t == len(server.records) > 0
+    assert any(r.trigger_fired for r in server.records) == (scheduler == "crd")
     cli_rounds = (tmp_path / "out" / "seed_1" / "rounds.csv").read_text()
-    assert rounds_csv_text(1, result.records) == cli_rounds
+    assert rounds_csv_text(1, server.records) == cli_rounds
+
+
+def test_run_simulation_rejects_an_unknown_scheduler_before_anything_runs(tmp_path, monkeypatch):
+    cfg = svm_cfg(tmp_path, U=6, T_init=8, seeds=(1,)).check()
+    shards, _, test = load_experiment_data(cfg, 1)
+    server, clients, fcfg = build_simulation(cfg, 1, shards)
+    params = server.global_params.copy()
+    evaluated = []
+    monkeypatch.setattr(harness, "evaluate", lambda *args: evaluated.append(args))
+    message = "scheduler must be fixed|crd|decay, got 'CRD'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_simulation(dataclasses.replace(cfg, scheduler="CRD"), server, clients, fcfg, test)
+    assert evaluated == [] and server.t == 0 and server._stacked is None
+    assert np.array_equal(server.global_params, params)
+    assert all(c.sigma_history == [] for c in clients)
+    assert message in dataclasses.replace(cfg, scheduler="CRD").validate()
 
 
 def test_clients_of_one_shard_size_share_one_ledger(tmp_path):
@@ -562,23 +579,23 @@ def _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=False):
     if one_ledger_per_client:
         for c in clients:
             c.ledger = MomentLedger(c.ledger.budget, c.ledger.q, c.ledger.dl)
-    return run_simulation(cfg, server, clients, fcfg, test), clients
+    return run_simulation(cfg, server, clients, fcfg, test), server, clients
 
 
 @pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
 def test_shared_class_ledgers_run_bitwise_as_one_ledger_per_client(tmp_path, scheduler):
-    shared, clients = _unbalanced_run(tmp_path, scheduler)
-    own, clients_own = _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=True)
+    stop, shared, clients = _unbalanced_run(tmp_path, scheduler)
+    own_stop, own, clients_own = _unbalanced_run(tmp_path, scheduler, one_ledger_per_client=True)
     assert len({id(c.ledger) for c in clients}) == 3
     assert len({id(c.ledger) for c in clients_own}) == 6
-    assert shared.records == own.records and shared.stop_reason == own.stop_reason
-    assert np.array_equal(shared.params, own.params)
+    assert shared.records == own.records and stop == own_stop
+    assert np.array_equal(shared.global_params, own.global_params)
     for a, b in zip(clients, clients_own):
         assert np.array_equal(np.array(a.sigma_history), np.array(b.sigma_history))
-        assert len(a.sigma_history) == shared.realized_T > 0
+        assert len(a.sigma_history) == shared.t > 0
     assert any(r.trigger_fired for r in shared.records) == (scheduler == "crd")
     if scheduler == "decay":
-        assert shared.stop_reason == "accountant_halt"
+        assert stop == "accountant_halt"
 
 
 @pytest.mark.parametrize("scheduler", ["fixed", "crd", "decay"])
@@ -598,8 +615,8 @@ def test_each_round_recalibrates_or_previews_each_class_ledger_once(
 
     monkeypatch.setattr(federation, "recalibrate_sigma", counting_recalibrate)
     monkeypatch.setattr(MomentLedger, "within", counting_within)
-    result, clients = _unbalanced_run(tmp_path, scheduler)
-    rounds, ledgers = result.realized_T, list(dict.fromkeys(c.ledger for c in clients))
+    _, server, clients = _unbalanced_run(tmp_path, scheduler)
+    rounds, ledgers = server.t, list(dict.fromkeys(c.ledger for c in clients))
     if scheduler == "decay":
         assert recalibrated == []
         # once per round, and at most once more for the check that halted the run

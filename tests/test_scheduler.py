@@ -13,7 +13,7 @@ from udpfl import ConfigError
 from udpfl.accountant import MomentLedger, PrivacyBudget, sensitivity
 from udpfl.data import synth_linear
 from udpfl.federation import (
-    ClientState, FederationConfig, ServerState, TrainingResult, run_training,
+    ClientState, FederationConfig, ServerState, run_training,
 )
 from udpfl.models import ModelSpec
 from udpfl.scheduler import (
@@ -86,11 +86,12 @@ def test_crd_scheduler_on_live_run_yields_staircase():
 
     v0, _ = evaluate(cfg.spec, server.global_params, test)
     sched = CrdScheduler(CrdConfig(beta=0.7, zeta=0.05, T_init=60), v0)
-    result = run_training(server, clients, cfg, test, on_round=sched)
-    traj = [r.T_at_start for r in result.records]
+    run_training(server, clients, cfg, test, on_round=sched)
+    traj = [r.T_at_start for r in server.records]
     assert all(b <= a for a, b in zip(traj, traj[1:]))
-    assert result.realized_T < 60  # zeta this large must trigger
-    assert any(r.trigger_fired for r in result.records)
+    assert server.t < 60  # zeta this large must trigger
+    assert server.t == len(server.records)
+    assert any(r.trigger_fired for r in server.records)
     # ledger still sound after shrinking T
     dl = sensitivity(cfg.eta, cfg.clip, 10)
     for c in clients:
@@ -118,19 +119,19 @@ def run_decay(slope_fraction, epsilon=4.0, T=30, seed=3):
     spec, clients, cfg, server, train_eval, test = make_federation(
         epsilon=epsilon, K=3, T=T, seed=seed
     )
-    result = linear_decay_baseline(
+    stop = linear_decay_baseline(
         server, clients, cfg, test, slope_fraction=slope_fraction
     )
-    return result, clients, cfg
+    return stop, server, clients, cfg
 
 
 def test_decay_zero_slope_halts_at_accountant_bound():
-    result, clients, cfg = run_decay(0.0)
-    assert result.stop_reason == "accountant_halt"
-    assert 0 < result.realized_T < 30
+    stop, server, clients, cfg = run_decay(0.0)
+    assert stop == "accountant_halt"
+    assert 0 < server.t < 30
     # constant sigma throughout
     for c in clients:
-        assert len(c.sigma_history) == result.realized_T
+        assert len(c.sigma_history) == server.t
         assert all(s == c.sigma_history[0] for s in c.sigma_history)
     # each client's own ledger: the spent rounds certify delta, one more would not
     for c in clients:
@@ -140,25 +141,25 @@ def test_decay_zero_slope_halts_at_accountant_bound():
 
 
 def test_decay_faster_slope_halts_earlier():
-    rounds = [run_decay(f)[0].realized_T for f in (0.0, 0.5, 1.0, 2.0)]
+    rounds = [run_decay(f)[1].t for f in (0.0, 0.5, 1.0, 2.0)]
     assert all(b <= a for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] < rounds[0]
 
 
 def test_decay_sigma_floor_halt():
     # loose privacy + aggressive slope: sigma hits zero before the accountant
-    result, clients, cfg = run_decay(10.0, epsilon=4.0, T=20)
-    assert result.stop_reason == "sigma_floor"
-    assert result.realized_T == 2  # sigma(2) = sigma0 * (1 - 10*2/20) = 0
+    stop, server, clients, cfg = run_decay(10.0, epsilon=4.0, T=20)
+    assert stop == "sigma_floor"
+    assert server.t == 2  # sigma(2) = sigma0 * (1 - 10*2/20) = 0
 
 
 def test_decay_records_and_inverse_variance_margin():
-    result, clients, cfg = run_decay(1.0)
-    assert isinstance(result, TrainingResult)
-    assert len(result.records) == result.realized_T
-    sig0 = next(iter(result.records[0].sigma_by_client.values()))
+    stop, server, clients, cfg = run_decay(1.0)
+    assert isinstance(stop, str)
+    assert len(server.records) == server.t
+    sig0 = next(iter(server.records[0].sigma_by_client.values()))
     # sigma trajectory decreases linearly in the emitted records
-    for r in result.records:
+    for r in server.records:
         for i, s in r.sigma_by_client.items():
             assert s == pytest.approx(sig0 * (1.0 - r.round / 30.0), rel=1e-12)
     # the moment-accountant halt is tighter than the inverse-variance budget
@@ -183,27 +184,28 @@ def decay_over_three_shards(epsilons):
     clients = [ClientState(ds.subset(np.arange(50 * i, 50 * i + 50)), ledgers[eps])
                for i, eps in enumerate(epsilons)]
     server = ServerState(global_params=np.zeros(5), T=10)
-    return linear_decay_baseline(server, clients, cfg, ds.subset(np.arange(150, 200))), clients, cfg
+    stop = linear_decay_baseline(server, clients, cfg, ds.subset(np.arange(150, 200)))
+    return stop, server, clients, cfg
 
 
 def test_decay_with_a_noiseless_class_stops_as_the_all_noisy_run():
     inf = math.inf
-    want, noisy_clients, _ = decay_over_three_shards([4.0, 4.0, 4.0])
-    got, clients, cfg = decay_over_three_shards([4.0, inf, 4.0])
-    assert (got.stop_reason, got.realized_T) == (want.stop_reason, want.realized_T)
-    assert got.stop_reason == "accountant_halt" and 0 < got.realized_T < 10
+    want, want_server, noisy_clients, _ = decay_over_three_shards([4.0, 4.0, 4.0])
+    got, server, clients, cfg = decay_over_three_shards([4.0, inf, 4.0])
+    assert (got, server.t) == (want, want_server.t)
+    assert got == "accountant_halt" and 0 < server.t < 10
     assert clients[0].sigma_history == noisy_clients[0].sigma_history
     assert clients[1].sigma_history == []
     # the noiseless client's uploads are its exact local steps (add_noise at sigma 0)
-    assert any(1 in r.selected for r in got.records)
+    assert any(1 in r.selected for r in server.records)
     params = np.zeros(5)
-    for r in got.records:
+    for r in server.records:
         assert r.sigma_by_client.get(1, 0.0) == 0.0
         params = noisy_reference_round(cfg.spec, params, clients, cfg, r.round, r.sigma_by_client)
-    assert np.array_equal(got.params, params)
+    assert np.array_equal(server.global_params, params)
 
 
 def test_decay_with_no_noisy_class_runs_to_T():
-    result, clients, _ = decay_over_three_shards([math.inf] * 3)
-    assert (result.stop_reason, result.realized_T) == ("completed", 10)
+    stop, server, clients, _ = decay_over_three_shards([math.inf] * 3)
+    assert (stop, server.t) == ("completed", 10)
     assert all(c.sigma_history == [] for c in clients)

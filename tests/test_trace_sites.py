@@ -110,9 +110,9 @@ def test_ledger_audit_sees_every_charged_round(scheduler):
     run.ledgers = [(len(c.shard), c.budget, c.sigma_history) for c in clients]
     run.participation = (fcfg.K, len(clients), fcfg.eta, fcfg.clip)
 
-    result = run_simulation(cfg, server, clients, fcfg, test)
-    assert result.realized_T > 0
-    assert [len(h) for _, _, h in run.ledgers] == [result.realized_T] * len(clients)
+    run_simulation(cfg, server, clients, fcfg, test)
+    assert server.t > 0
+    assert [len(h) for _, _, h in run.ledgers] == [server.t] * len(clients)
     assert checks.ledger_violations(run) == []
 
 
@@ -141,7 +141,8 @@ def test_traced_sites_run_only_on_the_main_thread(scheduler, monkeypatch):
     ).resolved()
     shards, _, test = load_experiment_data(cfg, 1)
     server, clients, fcfg = build_simulation(cfg, 1, shards)
-    assert run_simulation(cfg, server, clients, fcfg, test).realized_T > 0
+    run_simulation(cfg, server, clients, fcfg, test)
+    assert server.t > 0
     off_main = sorted({name for name, on_main in threads if not on_main})
     # the helper ran (where the process may use two CPUs), and only the unwrapped seam
     assert off_main == (["helper._draw_noise"] if federation._helper() else [])
