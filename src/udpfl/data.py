@@ -9,7 +9,9 @@ A dataset with read-only features keeps what is computed from its rows in
 its memo, freed with it; its rows' squared norms are kept there, and a subset
 of it gathers or slices them instead of reading its rows again.  MNIST's
 training pool keeps its features as the parsed image bytes: only the rows
-that a subset gathers are converted to float64, ``x / 255``.
+that a subset gathers are converted to float64, ``x / 255``.  A gather by an
+index array, and a pool's row norms, are shared in row blocks with the process's
+helper thread (``_threads``), with the bits of one call on one thread.
 
 A ``PartitionPlan`` states each shard size (``sizes``) in one of three layouts:
 
@@ -33,11 +35,13 @@ import os
 import struct
 import urllib.request
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import ConfigError, _is_int
+from ._threads import _on_helper
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -112,9 +116,26 @@ class Dataset:
 
     def float_rows(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """The features of ``rows`` as float64 (float64 features as they are); image
-        bytes are ``x / 255`` (bitwise ``x.astype(np.float64) / 255.0``)."""
-        x = self.features[rows]
-        return np.divide(x, 255.0, dtype=float) if x.dtype == np.uint8 else np.asarray(x, float)
+        bytes are ``x / 255`` (bitwise ``x.astype(np.float64) / 255.0``).
+
+        An integer index array is gathered into one new array in ``_row_blocks``
+        blocks, shared with the process's helper thread (``_threads._on_helper``):
+        the helper takes blocks from the front and this thread from the back, and a
+        gather under ``_threads._HELPER_MIN_BYTES`` runs inline.  Each block is
+        ``features[rows[block]]`` as float64, so the rows are bitwise those of one
+        gather.  An index out of range raises ``IndexError`` before any block runs."""
+        x = self.features
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"):
+            x = x[rows]
+            return np.divide(x, 255.0, dtype=float) if x.dtype == np.uint8 else np.asarray(x, float)
+        bad = rows[(rows < -len(x)) | (rows >= len(x))]
+        if len(bad):
+            raise IndexError(f"index {bad[0]} is out of bounds for axis 0 with size {len(x)}")
+        out = np.empty((len(rows), x.shape[1]))
+        blocks = [partial(_gather, x, rows[r], out[r]) for r in _row_blocks(*out.shape)]
+        with _on_helper(out.nbytes, blocks=blocks) as done:
+            done()
+        return out
 
     def subset(self, indices: np.ndarray | slice) -> "Dataset":
         return Dataset(
@@ -203,14 +224,31 @@ def _row_blocks(n: int, dim: int):
     return (slice(a, a + step) for a in range(0, n, step))
 
 
+def _gather(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Row i of ``out`` gets row ``rows[i]`` of ``x`` as ``Dataset.float_rows`` reads it;
+    every index is in range (``take`` writes ``out`` unbuffered only where it cannot
+    raise, at about half the time of a gather and a copy)."""
+    if x.dtype == np.float64:
+        np.take(x, rows, axis=0, out=out, mode="wrap")
+    elif x.dtype == np.uint8:
+        np.divide(x[rows], 255.0, dtype=float, out=out)
+    else:
+        out[...] = x[rows]
+
+
 def _sq_norms(ds: Dataset) -> np.ndarray:
     if ds.rows_of is not None and not ds.features.flags.writeable:
         source, rows = ds.rows_of
         norms = source.sq_norms[rows]
-    else:
+    else:  # in row blocks shared with the helper thread, as float_rows gathers
         norms = np.empty(len(ds))
-        for r in _row_blocks(len(ds), ds.feature_dim):
+
+        def block(r):
             np.sum(np.square(ds.float_rows(r)), axis=1, out=norms[r])
+
+        blocks = [partial(block, r) for r in _row_blocks(len(ds), ds.feature_dim)]
+        with _on_helper(norms.nbytes * ds.feature_dim, blocks=blocks) as done:
+            done()
     norms.flags.writeable = False
     return norms
 

@@ -14,32 +14,24 @@ Client i is ``clients[i]``.  Per run, the server stacks the clients' rows in
 that order with ``data.stack``, which reads every shard as float64 (a ``cut``'s
 shards as their gather's own arrays, without a copy), and checks them once.  A
 round's train-loss forward pass is the one the next round's local steps start
-from, and one backward pass over it serves every selected client.  Each upload
+from, and one backward pass over each run of consecutive selected clients
+serves them; the rows of clients no one selected are not read back.  Each upload
 adds its ``sigma * z``, rounded as ``add_noise`` rounds it, and ``aggregate``
 folds the uploads in client order.
 
-Each process has one helper thread, made on first use, and none where the
-process may use one CPU only.  In a round it draws the noisy clients' standard
-normals, from generators the main thread builds, beside the backward pass and
-the local steps.  Then both threads forward the new model: the helper evaluates
-it on the test set, then takes blocks of clients from the front of the stacked
-rows while the main thread takes them from the back (a run's first fill is the
-same batch without the test pass).  A batch reading under ``_HELPER_MIN_BYTES``
-in all runs inline instead, since waking the helper would cost as much.  A
-block is consecutive clients of one shard size, forwarded by one batched
-``matmul`` over their ``(clients, rows, ...)`` views: numpy makes each client's
-own BLAS call inside it, so each row's bits are those of ``local_update``'s
-call, whichever thread ran it.  One GEMV over several clients' rows would
-change them where a shard is 1 row or not a multiple of 4 rows (OpenBLAS
-0.3.31), and a GEMV of up to 500 rows holds the GIL, so a call per client could
-not run on both threads at once (numpy 2.4).  Every job writes only its own
-memory, which the main thread reads after joining the helper, so no output
-depends on where or when it ran; a round that fails joins the helper before it
-raises.  Every fork of the process first stops the helper
-(``os.register_at_fork``), so no fork copies a live thread (Python 3.12 warns
-of that, and a child would wait forever on the parent's thread); parent and
-child each make a new one on their next round.  Checked on Python 3.11 with the
-fork start method.
+The round shares its array work with the process's helper thread
+(``_threads``).  The helper draws the noisy clients' standard normals, from
+generators the main thread builds, beside the backward pass and the local
+steps.  Then both threads forward the new model: the helper evaluates it on the
+test set, then takes blocks of clients from the front of the stacked rows while
+the main thread takes them from the back (a run's first fill is the same batch
+without the test pass).  A block is consecutive clients of one shard size,
+forwarded by one batched ``matmul`` over their ``(clients, rows, ...)`` views:
+numpy makes each client's own BLAS call inside it, so each row's bits are those
+of ``local_update``'s call, whichever thread ran it.  One GEMV over several
+clients' rows would change them where a shard is 1 row or not a multiple of 4
+rows (OpenBLAS 0.3.31), and a GEMV of up to 500 rows holds the GIL, so a call
+per client could not run on both threads at once (numpy 2.4).
 
 Randomness is drawn from per-purpose streams keyed by ``_stream``: (seed, tag)
 for the initial parameters and the partition, (seed, tag, round) for selection
@@ -55,16 +47,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from . import ConfigError, _is_int
+from . import ConfigError, _is_int, _threads
 from .accountant import BudgetExhausted, MomentLedger, PrivacyBudget, recalibrate_sigma
 from .data import stack
 from .models import ModelSpec, _backward, _check_batch, _clip_factors, _forward, _forward_buffers
@@ -73,9 +61,6 @@ from .models import _loss_from_scores, accuracy, local_update, loss, loss_and_ac
 
 _TAGS = dict(init=0, select=1, noise=2, partition=11)
 WEIGHT_MODES = ("by_size", "equal")
-_helpers: list = []  # once made: [this process's one-thread executor, or None on one CPU]
-# a smaller helper batch runs inline: waking the helper can cost ~0.1 ms, as much as the work
-_HELPER_MIN_BYTES = 1 << 22
 
 
 @dataclass
@@ -206,68 +191,6 @@ def _draw_noise(rngs: list, block: np.ndarray) -> None:
         rng.standard_normal(out=row)
 
 
-def _helper() -> ThreadPoolExecutor | None:
-    """This process's helper thread (None on one CPU), made on first use."""
-    if not _helpers:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        _helpers.append(ThreadPoolExecutor(1, "udpfl-helper") if (cpus or 1) > 1 else None)
-    return _helpers[0]
-
-
-def _stop_helper() -> None:
-    """Join and drop this process's helper, so a fork copies no live thread; the next
-    round makes one again."""
-    if _helpers and _helpers[0] is not None:
-        _helpers[0].shutdown()
-    _helpers.clear()
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(before=_stop_helper)
-
-
-@contextmanager
-def _on_helper(nbytes: int, job=None, blocks=()):
-    """Run ``job()``, then the zero-argument ``blocks``, work reading ``nbytes`` of
-    arrays in all, beside the ``with`` body.  On the helper, if it exists and the work
-    is worth a thread handoff, ``job`` runs first and then blocks are taken from the
-    front, while the yielded function takes them from the back on this thread; else
-    all of it runs first, on this thread, in order.  The yielded function returns
-    ``job``'s value once every block is done.  The helper is joined, and takes no more
-    blocks, before the body's exit goes on, raised or not."""
-    queue = deque(blocks)
-
-    def drain(take) -> None:
-        while True:
-            try:
-                block = take()
-            except IndexError:  # none left
-                return
-            block()
-
-    def run():
-        value = job() if job is not None else None
-        drain(queue.popleft)
-        return value
-
-    pool = _helper() if nbytes >= _HELPER_MIN_BYTES else None
-    if pool is None:
-        future = Future()
-        future.set_result(run())
-    else:
-        future = pool.submit(run)
-
-    def done():
-        drain(queue.pop)
-        return future.result()
-
-    try:
-        yield done
-    finally:
-        queue.clear()
-        wait((future,))
-
-
 def _noisy_ledgers(clients: list) -> tuple:
     """The classes that take noise: the distinct ledgers of finite epsilon, in client order."""
     return tuple(dict.fromkeys(c.ledger for c in clients if math.isfinite(c.budget.epsilon)))
@@ -297,11 +220,11 @@ class _Stacked:
         # a fill block: consecutive clients of one shard size as (clients, rows, ...) views,
         # which one batched matmul forwards with each client's own BLAS call (see the
         # module docstring); each run of them is cut into the fewest parts that read at
-        # most _HELPER_MIN_BYTES each
+        # most _threads._HELPER_MIN_BYTES each
         self.blocks, start = [], 0
         for n, run in itertools.groupby(sizes):
             k = len(list(run))
-            parts = min(k, -(-k * n * X[0].nbytes // max(_HELPER_MIN_BYTES, 1)))
+            parts = min(k, -(-k * n * X[0].nbytes // max(_threads._HELPER_MIN_BYTES, 1)))
             for m in map(len, np.array_split(range(k), parts)):
                 r, start = slice(start, start + m * n), start + m * n
 
@@ -318,7 +241,7 @@ class _Stacked:
         Unfilled (``self.params`` None) unless every block is done."""
         self.params = None
         blocks = [partial(_forward, self.spec, params, x, out) for x, out in self.blocks]
-        with _on_helper(nbytes + self.fwd[0][0].nbytes, job, blocks) as done:
+        with _threads._on_helper(nbytes + self.fwd[0][0].nbytes, job, blocks) as done:
             value = done()
         self.params = params.copy()
         return value
@@ -343,13 +266,13 @@ def run_round(
 
     Order: refill the stacked forward if the parameters moved; noise scales
     (may raise ``BudgetExhausted``); selection; the helper draws the noisy
-    selected clients' z while this thread runs the backward pass and the
-    clipped steps; once the draws are done, each step adds its ``sigma * z``
-    and ``aggregate`` folds the steps; the helper evaluates ``test_eval``
-    and then forwards blocks of clients' rows from the front while this thread
-    forwards them from the back.  The helper is joined before the round goes on or
-    raises (the module docstring says why the thread schedule cannot show in the
-    outputs).
+    selected clients' z while this thread runs the backward pass over each run
+    of consecutive selected clients and their clipped steps; once the draws are
+    done, each step adds its ``sigma * z`` and ``aggregate`` folds the steps;
+    the helper evaluates ``test_eval`` and then forwards blocks of clients' rows
+    from the front while this thread forwards them from the back.  The helper is
+    joined before the round goes on or raises (the ``_threads`` docstring says why
+    the thread schedule cannot show in the outputs).
     """
     if server.t >= server.T:
         raise ValueError(f"round budget exhausted: t={server.t}, T={server.T}")
@@ -382,12 +305,21 @@ def run_round(
     z = dict(zip(noisy, rows))
     # the generators are built on this thread: that work holds the GIL, the fill does not
     rngs = [_noise_rng(cfg.seed, i, rnd) for i in noisy]
-    with _on_helper(rows.nbytes, partial(_draw_noise, rngs, rows)) as drawn:
-        norms2, grad_sum = _backward(spec, params, st.fwd, st.y, st.sq_norms)
-        factors = _clip_factors(norms2, cfg.clip)
-        # one full-batch clipped step per client from the global parameters (models.local_update)
-        steps = [params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, st.rows[i])
-                 for i in selected]
+    with _threads._on_helper(rows.nbytes, partial(_draw_noise, rngs, rows)) as drawn:
+        # one full-batch clipped step per client from the global parameters (models.local_update),
+        # from one backward pass per run of consecutive selected clients: a row's bits do not
+        # depend on the rows beside it (row-major GEMM rows; _backward doubles a lone row)
+        inputs, pre, scores = st.fwd
+        steps = []
+        for _, run in itertools.groupby(enumerate(selected), lambda p: p[1] - p[0]):
+            run = [i for _, i in run]
+            r = slice(st.rows[run[0]].start, st.rows[run[-1]].stop)
+            fwd = [A[r] for A in inputs], [Z[r] for Z in pre], scores[r]
+            norms2, grad_sum = _backward(spec, params, fwd, st.y[r], st.sq_norms[r])
+            factors = _clip_factors(norms2, cfg.clip)
+            for i in run:
+                own = slice(st.rows[i].start - r.start, st.rows[i].stop - r.start)
+                steps.append(params - (cfg.eta / len(clients[i].shard)) * grad_sum(factors, own))
         drawn()
     for i, upload in zip(selected, steps):  # rounded as add_noise
         if i in z:

@@ -1,11 +1,15 @@
 """Data loading, synthesis, and partitioning tests."""
 
+import multiprocessing
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import requires_mnist
+from udpfl import _threads, data
 from udpfl.data import (
     MNIST_FILES,
     Dataset,
@@ -222,6 +226,111 @@ def test_sq_norms_are_bitwise_row_sums_of_squares(make):
     assert ds.sq_norms.tobytes() == (x * x).sum(1).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         ds.sq_norms[0] = 0.0
+
+
+# --- gathers and row norms shared with the helper thread ---
+
+
+@pytest.fixture(params=["helper", "inline"])
+def helper_mode(request, monkeypatch):
+    """Every block batch to the helper thread, however small (where there is one), or none."""
+    if request.param == "helper":
+        monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", 0)
+    else:
+        monkeypatch.setattr(_threads, "_helpers", [None])
+    return request.param
+
+
+def block_pool(kind):
+    """3000 read-only rows of 100 features, three ``_row_blocks`` blocks of float64."""
+    rng = np.random.default_rng(7)
+    if kind == "uint8":
+        X = rng.integers(0, 256, size=(3000, 100), dtype=np.uint8)
+    else:
+        X = rng.normal(size=(3000, 100))
+    return Dataset(read_only(X), np.ones(3000, dtype=np.int64), 2)
+
+
+def as_read(X):
+    """The rows X as ``float_rows`` reads them, in one call on one thread."""
+    return X.astype(np.float64) / 255.0 if X.dtype == np.uint8 else np.asarray(X, float)
+
+
+GATHERS = {
+    "permuted": lambda rng: rng.permutation(3000),
+    "repeated": lambda rng: rng.integers(0, 3000, size=4500).astype(np.int32),
+    "one_row": lambda rng: np.array([1234]),
+    "negative": lambda rng: np.concatenate([rng.permutation(3000)[:2000] - 3000, [-1, 5]]),
+}
+
+
+@pytest.mark.parametrize("rows", GATHERS.values(), ids=GATHERS.keys())
+@pytest.mark.parametrize("kind", ["float64", "uint8"])
+def test_gathers_in_blocks_are_bitwise_one_gather(kind, rows, helper_mode):
+    pool = block_pool(kind)
+    idx = rows(np.random.default_rng(8))
+    got = pool.float_rows(idx)
+    assert got.dtype == np.float64 and got.shape == (len(idx), 100)
+    assert got.tobytes() == as_read(pool.features[idx]).tobytes()
+    sub = pool.subset(idx)
+    assert sub.features.tobytes() == got.tobytes()
+    assert sub.sq_norms.tobytes() == (got * got).sum(1).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["float64", "uint8"])
+def test_pool_sq_norms_in_shared_blocks_are_bitwise_row_sums(kind, helper_mode):
+    pool = block_pool(kind)
+    x = as_read(pool.features)
+    assert pool.sq_norms.tobytes() == (x * x).sum(1).tobytes()
+
+
+@pytest.mark.parametrize("bad", [3000, -3001])
+def test_out_of_range_gather_raises_as_one_gather_before_any_block(bad, helper_mode, monkeypatch):
+    pool = block_pool("float64")
+    idx = np.random.default_rng(9).permutation(3000)
+    idx[-1] = bad  # in the last block, which this thread takes first beside a helper
+    with pytest.raises(IndexError) as one_gather:
+        pool.features[idx]
+    begun, gather = [], data._gather
+    monkeypatch.setattr(data, "_gather", lambda *args: begun.append(args) or gather(*args))
+    with pytest.raises(IndexError) as blocks:
+        pool.float_rows(idx)
+    assert str(blocks.value) == str(one_gather.value) and begun == []
+    idx[-1] = -1
+    assert pool.float_rows(idx).tobytes() == pool.features[idx].tobytes() and len(begun) == 3
+
+
+def _gather_from_a_helper_job():
+    """In a forked child: a gather that a helper job starts, with every batch sent to the
+    helper, runs inline there; exits 0 if its rows are right and took no other thread."""
+    ok = False
+    try:
+        _threads._HELPER_MIN_BYTES = 0
+        pool = block_pool("uint8")
+        idx = np.random.default_rng(10).permutation(3000)
+        threads, gather = set(), data._gather
+
+        def noting(x, rows, out):
+            threads.add(threading.current_thread().name)
+            gather(x, rows, out)
+
+        data._gather = noting
+        got = _threads._helper().submit(pool.float_rows, idx).result(timeout=30)
+        ok = got.tobytes() == as_read(pool.features[idx]).tobytes()
+        ok = ok and len(threads) == 1 and threading.main_thread().name not in threads
+    finally:
+        os._exit(0 if ok else 1)  # without waiting on a helper that may never return
+
+
+def test_gather_started_from_a_helper_job_runs_there_inline():
+    if _threads._helper() is None:
+        pytest.skip("this process may use one CPU only, so it has no helper")
+    child = multiprocessing.get_context("fork").Process(target=_gather_from_a_helper_job)
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.terminate()
+    assert child.exitcode == 0  # a gather that waited on its own thread would never return
 
 
 def test_sq_norms_are_kept_only_for_read_only_rows():

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import assert_within_inverse_variance_budget
 from test_models import SPEC_IDS, SPECS, make_batch
-from udpfl import federation, models
+from udpfl import _threads, federation, models
 from udpfl.accountant import (
     BudgetExhausted,
     MomentLedger,
@@ -54,7 +54,7 @@ INF = float("inf")
 @pytest.fixture
 def helper_always(monkeypatch):
     """Every round job goes to the helper thread, however small (where there is one)."""
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", 0)
 
 
 def make_federation(
@@ -284,7 +284,7 @@ def test_run_round_makes_one_forward_pass_per_evaluated_set(monkeypatch, helper_
     # thread runs it all in that order
     here = [e for e, on_main in events[3:] if on_main]
     helper = [e for e, on_main in events[3:] if not on_main]
-    if federation._helper() is None:
+    if _threads._helper() is None:
         assert not helper and here == [len(test), *sizes]
     else:
         assert helper[0] == len(test)
@@ -492,6 +492,39 @@ def test_stacked_rounds_equal_per_client_local_updates_bitwise(spec):
     assert len({r.selected for r in server.records}) > 1  # K < U: the selection moved
 
 
+# shard sizes 5, 1, 7, 7, 3, 1, 4, 6; the backward runs once per run of consecutive
+# selected clients
+RUN_SELECTIONS = {
+    "runs_of_one": (0, 2, 4, 6),
+    "run_across_two_sizes": (2, 3, 4),
+    "one_row_alone": (1,),  # _backward doubles the lone row, as local_update's does
+    "one_row_inside_a_run": (0, 1, 2, 7),
+    "one_row_beside_a_lone_client": (5, 7),
+    "every_client": tuple(range(8)),
+}
+
+
+# the MNIST network's widths, where a lone row's gemv rounds apart from gemm
+MNIST_MLP = ModelSpec("mlp", input_dim=784, num_classes=10, hidden_dim=32)
+
+
+@pytest.mark.parametrize("spec", [*SPECS, MNIST_MLP], ids=[*SPEC_IDS, "mlp-mnist"])
+def test_backward_per_run_of_selected_clients_equals_per_client_local_updates_bitwise(
+    spec, monkeypatch
+):
+    clients, cfg, server, test = spec_federation(spec, sizes=(5, 1, 7, 7, 3, 1, 4, 6))
+    if spec is MNIST_MLP:
+        server.global_params = init_params(spec, np.random.default_rng(3))  # softmax not saturated
+    picks = iter(RUN_SELECTIONS.values())
+    monkeypatch.setattr(federation, "sample_clients", lambda U, K, rng: next(picks))
+    want = server.global_params.copy()
+    for name, selected in RUN_SELECTIONS.items():
+        rec = run_round(server, clients, cfg, test)
+        assert rec.selected == selected
+        want = naive_round(spec, want, clients, cfg, selected)
+        assert np.array_equal(server.global_params, want), name
+
+
 def noisy_reference_round(spec, params, clients, cfg, rnd, sigmas):
     """Per selected client ``local_update`` then ``add_noise`` with its keyed
     generator, then ``aggregate`` in client order."""
@@ -517,7 +550,7 @@ def noisy_reference_round(spec, params, clients, cfg, rnd, sigmas):
 def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
     spec, override, min_bytes, monkeypatch
 ):
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", min_bytes)
     clients, cfg, server, test = spec_federation(spec, epsilon=4.0)
     # the decay baseline's path: a fixed scale per class ledger, here one ledger per client
     sigma_override = {c.ledger: 0.05 * (i + 1) for i, c in enumerate(clients)} if override else None
@@ -538,7 +571,7 @@ def test_noisy_stacked_rounds_equal_per_client_add_noise_then_aggregate_bitwise(
 def test_mnist_shape_stacked_rounds_equal_per_client_bitwise(epsilon, min_bytes, monkeypatch):
     """The MNIST runs' layer widths, where BLAS picks kernels by shape, and a 1-row shard,
     which numpy sends through gemv alone but through gemm inside the stacked rows."""
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", min_bytes)
     spec = ModelSpec("mlp", input_dim=784, num_classes=10, hidden_dim=32)
     sizes = (200, 37, 401, 128, 1)
     clients, cfg, server, test = spec_federation(spec, sizes, K=4, epsilon=epsilon, seed=1)
@@ -568,7 +601,7 @@ def test_fill_blocks_equal_per_client_forward_bitwise(spec, rows_per_part, monke
     rows' bits at these sizes, the batched matmul must not."""
     row_bytes = spec.input_dim * 8
     min_bytes = 1 << 62 if rows_per_part is None else rows_per_part * row_bytes
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", min_bytes)
     sizes = (1, 1, 1, 7, 3, 3, 3, 3, 3, 12, 5, 5, 1, 9, 9, 9, 2)
     clients, cfg, server, test = spec_federation(spec, sizes, K=6, epsilon=4.0, seed=2)
     st = federation._Stacked(spec, server.global_params, clients)
@@ -670,7 +703,7 @@ def test_helper_batch_runs_every_block_once_under_fast_thread_switches():
     try:
         for _ in range(5):
             blocks = [functools.partial(block, i) for i in range(len(counts))]
-            with federation._on_helper(federation._HELPER_MIN_BYTES, lambda: "job", blocks) as done:
+            with _threads._on_helper(_threads._HELPER_MIN_BYTES, lambda: "job", blocks) as done:
                 assert done() == "job"
     finally:
         sys.setswitchinterval(switch)
@@ -678,12 +711,12 @@ def test_helper_batch_runs_every_block_once_under_fast_thread_switches():
 
 
 def _helper_runs_a_job_here():
-    helper = federation._helper()
+    helper = _threads._helper()
     sys.exit(helper.submit(os.getpid).result(timeout=30) != os.getpid())
 
 
 def test_child_forked_with_a_live_helper_makes_its_own():
-    helper = federation._helper()
+    helper = _threads._helper()
     if helper is None:
         pytest.skip("this process may use one CPU only, so it has no helper")
     assert helper.submit(os.getpid).result() == os.getpid()  # its thread is running
@@ -759,7 +792,7 @@ def test_failure_beside_helper_work_joins_it_and_mutates_nothing(
         assert begun and finished == begun and server._stacked.params is None
         # the helper took no block after this thread's failed, which came 50 ms before
         # the helper's first block ended; inline, the blocks ran in order up to it
-        assert len(begun) == (1 if federation._helper() else len(server._stacked.blocks) - 1)
+        assert len(begun) == (1 if _threads._helper() else len(server._stacked.blocks) - 1)
     else:
         assert started.is_set() and len(finished) == expected
     after = _state(server, clients)
@@ -811,7 +844,7 @@ def byte_rows(spec, n, seed):
 def test_byte_shards_round_as_their_float_copies_bitwise(
     spec, epsilon, min_bytes, monkeypatch
 ):
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", min_bytes)
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", min_bytes)
     sizes = (7, 3, 12, 5, 9)
     ends = np.cumsum(sizes)
     images, y = byte_rows(spec, ends[-1] + 20, 60)

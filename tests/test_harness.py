@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udpfl import accountant, cli, data, federation, harness
+from udpfl import _threads, accountant, cli, data, federation, harness
 from udpfl.accountant import MomentLedger, PrivacyBudget
 from udpfl.data import Dataset, PartitionPlan, partition, stack, synth_linear
 from udpfl.federation import WEIGHT_MODES
@@ -437,7 +437,7 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
 def test_rounds_above_the_helper_limit_match_rounds_without_a_helper(tmp_path, monkeypatch):
     # 6,000 stacked rows of 100 floats (4.8 MB): the fills are worth the helper at the
     # product's own limit, so where the process may use two CPUs both threads forward rows
-    assert 6000 * 100 * 8 >= federation._HELPER_MIN_BYTES
+    assert 6000 * 100 * 8 >= _threads._HELPER_MIN_BYTES
     cfg = dict(
         SVM_BASE, synth_dim=100, partition_mode="unbalanced", shard_size=None,
         size_pattern=(400, 500, 600, 700, 800), U=10, K=4, T_init=3, seeds=(1,),
@@ -450,12 +450,12 @@ def test_rounds_above_the_helper_limit_match_rounds_without_a_helper(tmp_path, m
 
     monkeypatch.setattr(federation, "_forward", noting)
     texts = []
-    for name, helpers in (("helper", federation._helpers), ("inline", [None])):
-        monkeypatch.setattr(federation, "_helpers", helpers)
+    for name, helpers in (("helper", _threads._helpers), ("inline", [None])):
+        monkeypatch.setattr(_threads, "_helpers", helpers)
         run_experiment(svm_cfg(tmp_path, **cfg, output_dir=str(tmp_path / name)))
         texts.append((tmp_path / name / "seed_1" / "rounds.csv").read_bytes())
         if name == "helper":  # the helper forwarded client rows, if this process has one
-            assert threads == ({True, False} if federation._helper() else {True})
+            assert threads == ({True, False} if _threads._helper() else {True})
             threads.clear()
     assert threads == {True}  # no helper: this thread forwarded every row
     assert texts[0] == texts[1]
@@ -464,9 +464,9 @@ def test_rounds_above_the_helper_limit_match_rounds_without_a_helper(tmp_path, m
 def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path, monkeypatch):
     # rounds in this process make its helper thread; every fork stops it first,
     # and each worker makes its own
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
     run_experiment(svm_cfg(tmp_path, output_dir=str(tmp_path / "serial")))
-    assert federation._helpers  # made by the serial rounds
+    assert _threads._helpers  # made by the serial rounds
     parallel = svm_cfg(tmp_path, output_dir=str(tmp_path / "parallel"), workers=2)
     outcome = []
     job = threading.Thread(target=lambda: outcome.append(run_experiment(parallel)), daemon=True)
@@ -477,7 +477,7 @@ def test_workers_forked_after_rounds_in_the_parent_match_the_serial_run(tmp_path
             child.terminate()
         pytest.fail("workers=2 did not finish within 120 s after rounds in the parent")
     assert outcome and not outcome[0].errors
-    assert federation._helpers == []  # no live helper was forked
+    assert _threads._helpers == []  # no live helper was forked
     for s in (1, 2):
         serial = (tmp_path / "serial" / f"seed_{s}" / "rounds.csv").read_bytes()
         assert (tmp_path / "parallel" / f"seed_{s}" / "rounds.csv").read_bytes() == serial

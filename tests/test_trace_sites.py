@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from udpfl import federation, harness
+from udpfl import _threads, federation, harness
 from udpfl.harness import (
     ExperimentConfig,
     build_simulation,
@@ -129,7 +129,7 @@ def test_traced_sites_run_only_on_the_main_thread(scheduler, monkeypatch):
 
         return site
 
-    monkeypatch.setattr(federation, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
+    monkeypatch.setattr(_threads, "_HELPER_MIN_BYTES", 0)  # every round job to the helper
     for owner, attr, name, _ in layers.SITES:
         monkeypatch.setattr(owner, attr, noting(getattr(owner, attr), name))
     draw = federation._draw_noise
@@ -145,5 +145,5 @@ def test_traced_sites_run_only_on_the_main_thread(scheduler, monkeypatch):
     assert server.t > 0
     off_main = sorted({name for name, on_main in threads if not on_main})
     # the helper ran (where the process may use two CPUs), and only the unwrapped seam
-    assert off_main == (["helper._draw_noise"] if federation._helper() else [])
+    assert off_main == (["helper._draw_noise"] if _threads._helper() else [])
     assert {name for name, _ in threads} >= {"federation.run_round", "federation.sample_clients"}
